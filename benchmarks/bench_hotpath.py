@@ -57,6 +57,7 @@ from repro.core.estimate import estimate_product_nnz
 from repro.core.propagate import propagate_product
 from repro.core.sketch import MNCSketch
 from repro.matrix.random import random_sparse
+from repro.observability import METRICS
 from repro.optimizer.mmchain import optimize_chain_sparse
 
 BASELINE_DIR = Path(__file__).parent / "baselines"
@@ -286,11 +287,11 @@ def run_hotpath_benchmark(scale: float | None = None) -> dict:
     if backend_results:
         payload["backends"] = backend_results
 
-    try:
-        from repro.core.hotpath import HOTPATH
-        payload["hotpath_counters"] = HOTPATH.snapshot()
-    except ImportError:  # pragma: no cover - pre-overhaul checkouts
-        pass
+    payload["hotpath_counters"] = {
+        name[len("hotpath."):]: int(value)
+        for name, value in sorted(METRICS.snapshot().counters.items())
+        if name.startswith("hotpath.")
+    }
 
     pre_pr = _load_pre_pr(scale)
     if pre_pr is not None:

@@ -1,13 +1,15 @@
 """Metrics-overhead benchmark: the observability layer must stay off the
 hot path.
 
-PR 6 routed every ``count()``/``observe()`` call and the accuracy residual
-ledger through the process-wide :mod:`repro.observability.metrics`
-registry. The hot-path kernels (Algorithm 1, propagation, the chain DP)
-deliberately guard their telemetry behind ``tracing_enabled()`` and raw
-``HOTPATH`` slot increments, so the *disabled* path — tracing off, flight
-recorder disarmed — must cost essentially nothing. This module checks
-that claim two ways:
+Every counter, gauge and histogram in the process lives in the
+:mod:`repro.observability.metrics` registry, written through one API
+(``metric_inc`` / ``metric_observe`` / ``metric_set``), and the accuracy
+residual ledger lives beside them. The hot-path kernels (Algorithm 1,
+propagation, the chain DP) guard their spans behind ``tracing_enabled()``
+and bump pre-bound registry cells (``METRICS.cell(name).value += 1``,
+no lock, no call), so the *disabled* path — tracing off, flight recorder
+disarmed — must cost essentially nothing. This module checks that claim
+two ways:
 
 1. **End-to-end**: re-run the key ``bench_hotpath`` kernels with the
    metrics layer in its default (disabled-tracing) state and compare each
@@ -18,10 +20,11 @@ that claim two ways:
    ``MAX_OVERHEAD`` (2%) plus a small timer-noise allowance; otherwise
    the lenient ``REPRO_PERF_TOLERANCE`` bound applies (cross-machine
    timings are noisy, so CI pins the scale and enforces on one runner).
-2. **Microbenchmarks**: per-call cost of the observability primitives in
-   both states — a disabled ``timed_span``, an always-on ``metric_inc`` /
-   ``metric_observe``, a ``record_residual`` — so a future regression
-   shows up as nanoseconds, not as a diffuse end-to-end slowdown.
+2. **Microbenchmarks**: per-call cost of the observability primitives —
+   the increment ``metric_inc``, the observe ``metric_observe``, a hot
+   cell bump, a disabled ``timed_span``, and ``record_residual`` — so a
+   future regression shows up as nanoseconds, not as a diffuse
+   end-to-end slowdown.
 
 Results land in ``benchmarks/results/BENCH_metrics.json``. Runs
 standalone (``PYTHONPATH=src python benchmarks/bench_metrics.py``) or
@@ -77,11 +80,12 @@ def _primitive_costs() -> dict:
     """Per-call cost (seconds) of each observability primitive."""
     from repro.observability import FLIGHT, RecordingCollector, using_collector
     from repro.observability.metrics import (
+        METRICS,
         metric_inc,
         metric_observe,
         record_residual,
     )
-    from repro.observability.trace import count, timed_span, tracing_enabled
+    from repro.observability.trace import timed_span, tracing_enabled
 
     costs: dict = {}
 
@@ -95,6 +99,14 @@ def _primitive_costs() -> dict:
 
     costs["timed_span_disabled"] = _time_per_call(disabled_span)
 
+    # What the hot path pays per counter bump (the call wrapper included).
+    cell = METRICS.cell("bench.cell")
+
+    def bump_cell():
+        cell.value += 1
+
+    costs["hot_cell_bump"] = _time_per_call(bump_cell, calls=100000)
+
     # Always-on registry primitives (these run regardless of tracing).
     flight_was_enabled = FLIGHT.enabled
     FLIGHT.enabled = False  # isolate the registry cost from the ring append
@@ -102,9 +114,6 @@ def _primitive_costs() -> dict:
         costs["metric_inc"] = _time_per_call(lambda: metric_inc("bench.inc"))
         costs["metric_observe"] = _time_per_call(
             lambda: metric_observe("bench.obs", 0.5)
-        )
-        costs["count_disabled_tracing"] = _time_per_call(
-            lambda: count("bench.count")
         )
         costs["record_residual"] = _time_per_call(
             lambda: record_residual(
@@ -116,17 +125,13 @@ def _primitive_costs() -> dict:
     finally:
         FLIGHT.enabled = flight_was_enabled
 
-    # Enabled-path numbers for context (documented, never enforced).
-    collector = RecordingCollector()
-    with using_collector(collector):
+    # Enabled-path number for context (documented, never enforced).
+    with using_collector(RecordingCollector()):
         def enabled_span():
             with timed_span("bench.noop"):
                 pass
 
         costs["timed_span_enabled"] = _time_per_call(enabled_span, calls=5000)
-        costs["count_enabled_tracing"] = _time_per_call(
-            lambda: count("bench.count"), calls=5000
-        )
     return costs
 
 

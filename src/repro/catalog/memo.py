@@ -36,8 +36,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
-from repro.observability.metrics import metric_set
-from repro.observability.trace import count
+from repro.observability.metrics import metric_inc, metric_set
 
 #: Default entry bound; estimates are tiny, so this is ~megabytes.
 DEFAULT_MAX_ENTRIES = 65536
@@ -85,11 +84,11 @@ class EstimateMemo:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
                 self._misses += 1
-                count("catalog.memo.miss")
+                metric_inc("catalog.memo.miss")
                 return default
             self._entries.move_to_end(key)
             self._hits += 1
-            count("catalog.memo.hit")
+            metric_inc("catalog.memo.hit")
             return value
 
     def _unlink_deps(self, key: MemoKey) -> None:
@@ -158,18 +157,18 @@ class EstimateMemo:
                 if value is not _MISSING:
                     self._entries.move_to_end(key)
                     self._hits += 1
-                    count("catalog.memo.hit")
+                    metric_inc("catalog.memo.hit")
                     return value
                 pending = self._inflight.get(key)
                 if pending is None:
                     pending = self._inflight[key] = threading.Event()
                     owner = True
                     self._misses += 1
-                    count("catalog.memo.miss")
+                    metric_inc("catalog.memo.miss")
                 else:
                     owner = False
                     self._compute_waits += 1
-                    count("catalog.memo.compute_wait")
+                    metric_inc("catalog.memo.compute_wait")
             if owner:
                 try:
                     value = compute()
@@ -236,7 +235,7 @@ class EstimateMemo:
             self._invalidations += removed
             metric_set("catalog.memo.entries", len(self._entries))
         if removed:
-            count("catalog.memo.invalidation", removed)
+            metric_inc("catalog.memo.invalidation", removed)
         return removed
 
     def clear(self) -> None:

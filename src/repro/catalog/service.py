@@ -51,7 +51,8 @@ from repro.estimators.spec import AUTO_NAME, EstimatorSpec
 from repro.ir.nodes import Expr
 from repro.matrix.conversion import MatrixLike
 from repro.observability.recording import unwrap_estimator
-from repro.observability.trace import count, timed_span
+from repro.observability.metrics import metric_inc
+from repro.observability.trace import timed_span
 from repro.opcodes import Op
 from repro.parallel.engine import WorkerPool, resolve_workers, run_tasks
 from repro.parallel.spill import PortableDag, load_dag, spill_dag
@@ -237,7 +238,7 @@ class EstimationService:
         if name is not None:
             self.names[name] = fingerprint
         self.store.put(fingerprint, sketch)
-        count("catalog.service.register_sketched")
+        metric_inc("catalog.service.register_sketched")
         return fingerprint
 
     def sketch_for(self, matrix: MatrixLike) -> MNCSketch:
@@ -284,7 +285,7 @@ class EstimationService:
         self.names[name] = new_fingerprint
         if self._builds_canonical_sketch(self.estimator):
             self.store.put(new_fingerprint, incremental.sketch())
-        count("catalog.service.updates")
+        metric_inc("catalog.service.updates")
         return new_fingerprint
 
     # ------------------------------------------------------------------
@@ -305,7 +306,7 @@ class EstimationService:
             request = replace(request, estimator=None)
             if service is not self:
                 return service.submit(request)
-        count(f"catalog.service.requests.{request.kind}")
+        metric_inc(f"catalog.service.requests.{request.kind}")
         if request.kind == "estimate":
             if len(request.exprs) != 1:
                 raise ReproError(
@@ -404,12 +405,12 @@ class EstimationService:
                     depends_on=_leaf_fingerprints(expr),
                 )
                 cached = False
-                count("catalog.service.miss")
+                metric_inc("catalog.service.miss")
             else:
                 with self._counter_lock:
                     self._hits += 1
                 cached = True
-                count("catalog.service.hit")
+                metric_inc("catalog.service.hit")
             span.annotate(cached=cached, result_nnz=float(nnz))
         m, n = expr.shape
         result: Dict[str, Any] = {
@@ -453,7 +454,7 @@ class EstimationService:
                     (nnz, router_meta), depends_on=_leaf_fingerprints(expr),
                 )
                 cached = False
-                count("catalog.service.miss")
+                metric_inc("catalog.service.miss")
                 if include_intermediates:
                     from repro.ir.estimate import estimate_dag
 
@@ -469,7 +470,7 @@ class EstimationService:
                 with self._counter_lock:
                     self._hits += 1
                 cached = True
-                count("catalog.service.hit")
+                metric_inc("catalog.service.hit")
             span.annotate(cached=cached, result_nnz=float(nnz))
         m, n = expr.shape
         result: Dict[str, Any] = {
@@ -536,7 +537,7 @@ class EstimationService:
             with self._counter_lock:
                 self._requests += 1
                 self._hits += 1
-            count("catalog.service.hit")
+            metric_inc("catalog.service.hit")
             nnz, router_meta = value if routed else (value, None)
             m, n = expr.shape
             results[i] = {
@@ -591,12 +592,12 @@ class EstimationService:
                 if not outcome.ok:
                     # Worker died: recover deterministically in-process
                     # (_estimate_one does its own counting and memoization).
-                    count("catalog.service.fanout_retries")
+                    metric_inc("catalog.service.fanout_retries")
                     results[index] = self._estimate_one(expr)
                     continue
                 with self._counter_lock:
                     self._requests += 1
-                count("catalog.service.miss")
+                metric_inc("catalog.service.miss")
                 result = dict(outcome.value)
                 value = (
                     (result["nnz"], result["router"]) if routed

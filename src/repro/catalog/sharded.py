@@ -42,7 +42,7 @@ from repro.catalog.store import (
 )
 from repro.core.sketch import MNCSketch
 from repro.errors import SketchError
-from repro.observability.trace import count
+from repro.observability.metrics import metric_inc
 
 #: Default shard count: enough to make lock contention negligible for a
 #: few dozen concurrent request threads, few enough that per-shard budgets
@@ -234,7 +234,7 @@ class ShardedSketchStore:
                     demoted += 1
                     self._ttl_evictions += 1
         if demoted:
-            count("catalog.store.ttl_eviction", demoted)
+            metric_inc("catalog.store.ttl_eviction", demoted)
         return demoted
 
     # ------------------------------------------------------------------
@@ -293,7 +293,7 @@ class ShardedSketchStore:
                 ]
                 results = [future.result() for future in futures]
         loaded = sorted(key for group in results for key in group)
-        count("catalog.store.warm_start", len(loaded))
+        metric_inc("catalog.store.warm_start", len(loaded))
         return loaded
 
     def persist(self, directory: Optional[str | Path] = None) -> int:

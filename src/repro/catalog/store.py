@@ -36,8 +36,7 @@ from typing import Dict, List, Optional
 from repro.core.serialize import load_sketch, save_sketch
 from repro.core.sketch import MNCSketch
 from repro.errors import SketchError
-from repro.observability.metrics import metric_set
-from repro.observability.trace import count
+from repro.observability.metrics import metric_inc, metric_set
 
 #: Default in-memory budget: generous for O(m + n) sketches, small enough
 #: that pathological workloads spill instead of exhausting the heap.
@@ -156,17 +155,17 @@ class SketchStore:
             if sketch is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                count("catalog.store.hit")
+                metric_inc("catalog.store.hit")
                 return sketch
             spill_path = self._spill_path(key)
             if spill_path is not None and spill_path.exists():
                 sketch = load_sketch(spill_path)
                 self._admit(key, sketch)
                 self._disk_hits += 1
-                count("catalog.store.disk_hit")
+                metric_inc("catalog.store.disk_hit")
                 return sketch
             self._misses += 1
-            count("catalog.store.miss")
+            metric_inc("catalog.store.miss")
             return None
 
     def put(self, key: str, sketch: MNCSketch) -> None:
@@ -175,7 +174,7 @@ class SketchStore:
         with self._lock:
             self._admit(key, sketch)
             self._puts += 1
-            count("catalog.store.put")
+            metric_inc("catalog.store.put")
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -214,7 +213,7 @@ class SketchStore:
             del self._entries[key]
             self._bytes_used -= self._sizes.pop(key)
             self._evictions += 1
-            count("catalog.store.eviction")
+            metric_inc("catalog.store.eviction")
             self._spill(key, sketch)
             self._publish_gauges()
             return True
@@ -296,14 +295,14 @@ class SketchStore:
                 continue
             self.put(path.stem, sketch)
             loaded.append(path.stem)
-        count("catalog.store.warm_start", len(loaded))
+        metric_inc("catalog.store.warm_start", len(loaded))
         return loaded
 
     def note_warm_skipped(self) -> None:
         """Count one unreadable catalog file skipped during warm start."""
         with self._lock:
             self._warm_skipped += 1
-        count("catalog.store.warm_skipped")
+        metric_inc("catalog.store.warm_skipped")
 
     def persist(self, directory: Optional[str | Path] = None) -> int:
         """Write every resident sketch to *directory* (default: the spill
@@ -355,7 +354,7 @@ class SketchStore:
         victim, sketch = self._entries.popitem(last=False)
         self._bytes_used -= self._sizes.pop(victim)
         self._evictions += 1
-        count("catalog.store.eviction")
+        metric_inc("catalog.store.eviction")
         self._spill(victim, sketch)
 
     def _spill(self, key: str, sketch: MNCSketch) -> None:
@@ -365,4 +364,4 @@ class SketchStore:
         if not path.exists():
             save_sketch(path, sketch)
         self._spills += 1
-        count("catalog.store.spill")
+        metric_inc("catalog.store.spill")

@@ -643,14 +643,6 @@ def _stats_json(data) -> dict:
 
     payload: dict = {
         "spans": [asdict(entry) for entry in aggregate_spans(data.spans)],
-        "counters": dict(sorted(data.counters.items())),
-        "histograms": {
-            name: {
-                "count": len(values),
-                "mean": sum(values) / len(values) if values else None,
-            }
-            for name, values in sorted(data.histograms.items())
-        },
         "outcomes": data.outcomes,
         "metrics": data.metrics.to_dict() if data.metrics is not None else None,
         "residuals": [record.to_dict() for record in data.residuals],
@@ -719,8 +711,8 @@ def _cmd_stats(
 
     print(f"Kernel backend: {_backend_summary()}")
     empty = not (
-        data.spans or data.counters or data.histograms or data.outcomes
-        or data.residuals or (data.metrics is not None)
+        data.spans or data.outcomes or data.residuals
+        or (data.metrics is not None)
     )
     if empty:
         noun = "file" if len(trace_files) == 1 else "files"
@@ -731,19 +723,6 @@ def _cmd_stats(
             aggregate_spans(data.spans),
             title=f"Span aggregates ({len(data.spans)} spans)",
         ))
-    if data.counters:
-        print()
-        print("Counters")
-        for name, value in sorted(data.counters.items()):
-            print(f"  {name} = {value:g}")
-    if data.histograms:
-        from repro.observability.export import percentile
-
-        print()
-        print("Histograms")
-        for name, values in sorted(data.histograms.items()):
-            print(f"  {name}: n={len(values)} mean={sum(values) / len(values):g} "
-                  f"p95={percentile(values, 95.0):g}")
     if data.metrics is not None:
         snapshot = data.metrics
         print()

@@ -57,7 +57,7 @@ import scipy.sparse as sp
 from repro.core.sketch import MNCSketch
 from repro.errors import ShapeError, SketchError
 from repro.matrix.conversion import MatrixLike, as_csc, as_csr
-from repro.observability.trace import count
+from repro.observability.metrics import metric_inc
 
 __all__ = [
     "AppendCols",
@@ -774,7 +774,7 @@ class IncrementalSketch:
         self._alive_cols_cache = None
         self._pending_cells = 0
         self._compactions += 1
-        count("incremental.compactions")
+        metric_inc("incremental.compactions")
 
     # ------------------------------------------------------------------
     # Materialization
@@ -803,7 +803,7 @@ class IncrementalSketch:
                 self._her[fast_slots] = _segment_counts(
                     fast_bases, lambda cat: self._col_alive[cat] & (hc[cat] == 1)
                 )
-            count("incremental.her_repaired", len(self._her_dirty))
+            metric_inc("incremental.her_repaired", len(self._her_dirty))
             self._her_dirty.clear()
         if self._hec_dirty:
             hr = self._hr
@@ -826,7 +826,7 @@ class IncrementalSketch:
                 self._hec[fast_slots] = _segment_counts(
                     fast_bases, lambda cat: self._row_alive[cat] & (hr[cat] == 1)
                 )
-            count("incremental.hec_repaired", len(self._hec_dirty))
+            metric_inc("incremental.hec_repaired", len(self._hec_dirty))
             self._hec_dirty.clear()
 
     def _fast_cols_mask(self) -> Optional[np.ndarray]:
@@ -905,7 +905,7 @@ class IncrementalSketch:
         result.__dict__["_row_stats_max"] = max_hr
         result.__dict__["_col_stats_max"] = max_hc
         self._cached_sketch = result
-        count("incremental.materializations")
+        metric_inc("incremental.materializations")
         return result
 
     def peek(self) -> MNCSketch:
@@ -997,7 +997,7 @@ def apply_update(sketch: IncrementalSketch, delta: Delta) -> IncrementalSketch:
         raise SketchError(f"unknown delta type {type(delta).__name__}")
     sketch._cached_sketch = None
     sketch._updates_applied += 1
-    count("incremental.updates")
+    metric_inc("incremental.updates")
     return sketch
 
 

@@ -26,10 +26,11 @@ import threading
 
 import numpy as np
 
-from repro.core.hotpath import HOTPATH
-from repro.observability.collector import get_collector
+from repro.observability.metrics import METRICS
 
 _MIN_CAPACITY = 256
+
+_REUSES = METRICS.cell("hotpath.scratch_reuses")
 
 
 class ScratchBuffer(threading.local):
@@ -51,10 +52,5 @@ class ScratchBuffer(threading.local):
                 capacity = max(capacity, 2 * buf.size)
             self._buf = buf = np.empty(capacity, dtype=self._dtype)
         else:
-            # record_scratch_reuse() inlined: get() runs several times per
-            # estimate and the extra call layer is measurable there.
-            HOTPATH.scratch_reuses += 1
-            collector = get_collector()
-            if collector.enabled:
-                collector.increment("hotpath.scratch_reuses")
+            _REUSES.value += 1
         return buf[:length]

@@ -43,15 +43,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.hotpath import (
-    record_summary_materialization,
-    record_trusted_construction,
-    record_validated_construction,
-    record_zero_vector_hit,
-    validation_forced,
-)
+from repro.core.hotpath import validation_forced
 from repro.errors import SketchError
 from repro.matrix.conversion import MatrixLike, as_csc, as_csr
+from repro.observability.metrics import METRICS
 from repro.observability.trace import trace, tracing_enabled
 
 _FIELD_NAMES = ("shape", "hr", "hc", "her", "hec", "fully_diagonal", "exact")
@@ -61,6 +56,12 @@ _FIELD_NAMES = ("shape", "hr", "hc", "her", "hec", "fully_diagonal", "exact")
 #: allocating a fresh vector per estimate is pure hot-path garbage).
 _ZEROS_CACHE: dict[tuple[int, str], np.ndarray] = {}
 _ZEROS_CACHE_LIMIT = 128
+
+# Hot-path counters (docs/PERFORMANCE.md): registry cells, bumped inline.
+_TRUSTED = METRICS.cell("hotpath.trusted_constructions")
+_VALIDATED = METRICS.cell("hotpath.validated_constructions")
+_SUMMARIES = METRICS.cell("hotpath.summaries_materialized")
+_ZERO_HITS = METRICS.cell("hotpath.zero_vector_hits")
 
 
 def _cached_zeros(length: int, dtype=np.int64) -> np.ndarray:
@@ -73,7 +74,7 @@ def _cached_zeros(length: int, dtype=np.int64) -> np.ndarray:
         arr.setflags(write=False)
         _ZEROS_CACHE[key] = arr
     else:
-        record_zero_vector_hit()
+        _ZERO_HITS.value += 1
     return arr
 
 
@@ -106,7 +107,7 @@ class MNCSketch:
     exact: bool = True
 
     def __post_init__(self) -> None:
-        record_validated_construction()
+        _VALIDATED.value += 1
         m, n = self.shape
         hr = np.ascontiguousarray(self.hr, dtype=np.int64)
         hc = np.ascontiguousarray(self.hc, dtype=np.int64)
@@ -174,7 +175,7 @@ class MNCSketch:
                 shape=shape, hr=hr, hc=hc, her=her, hec=hec,
                 fully_diagonal=fully_diagonal, exact=exact,
             )
-        record_trusted_construction()
+        _TRUSTED.value += 1
         self = object.__new__(cls)
         d = self.__dict__
         d["shape"] = shape
@@ -302,7 +303,7 @@ class MNCSketch:
         else:
             d.setdefault("_row_stats_max", 0)
             d["_row_stats_nnz"] = d["_row_stats_half"] = d["_row_stats_single"] = 0
-        record_summary_materialization()
+        _SUMMARIES.value += 1
 
     def _materialize_cols(self) -> None:
         hc, m = self.hc, self.shape[0]
@@ -316,7 +317,7 @@ class MNCSketch:
         else:
             d.setdefault("_col_stats_max", 0)
             d["_col_stats_nnz"] = d["_col_stats_half"] = d["_col_stats_single"] = 0
-        record_summary_materialization()
+        _SUMMARIES.value += 1
 
     @property
     def max_hr(self) -> int:

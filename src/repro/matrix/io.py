@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from pathlib import Path
 from typing import Callable
 
@@ -58,5 +59,9 @@ def cached_matrix(key: str, build: Callable[[], MatrixLike]) -> sp.csr_array:
         except (OSError, ValueError):
             path.unlink(missing_ok=True)
     matrix = as_csr(build())
-    save_matrix(path, matrix)
+    # Publish by rename: a parallel worker building the same dataset, or a
+    # writer killed mid-file, never leaves a torn entry under the key.
+    tmp = path.with_name(f"{path.stem}.tmp{os.getpid()}-{threading.get_ident()}.npz")
+    save_matrix(tmp, matrix)
+    os.replace(tmp, path)
     return matrix

@@ -9,7 +9,7 @@ reports against. It has six parts:
   clock reads, so instrumented hot paths (sketch construction, product
   estimation, propagation) stay as fast as uninstrumented code. Install a
   :class:`RecordingCollector` — usually via :func:`using_collector` — to
-  accumulate spans, counters, histograms, and benchmark outcomes.
+  accumulate spans and benchmark outcomes.
 - **Spans** (:mod:`repro.observability.trace`): ``trace(name, **attrs)`` is
   both a context manager and a decorator; :class:`timed_span` additionally
   always reads the clock and exposes ``.seconds``, which is the shared
@@ -21,12 +21,14 @@ reports against. It has six parts:
   non-zero counts, result estimate, wall time — while returning bit-identical
   results, so it is usable anywhere an estimator is accepted.
 - **Metrics** (:mod:`repro.observability.metrics`): the process-wide
-  :data:`METRICS` registry — monotonic counters (absorbing the
-  ``hotpath.*`` slots), gauges, log2-bucketed histograms with
-  p50/p95/p99 — plus the **accuracy residual ledger** recording
-  estimate-vs-truth observations (paper metric M1) wherever ground truth
-  is computed anyway. Unlike traces, metrics are always on; snapshots are
-  versioned, picklable, and merge across parallel workers in task order.
+  :data:`METRICS` registry, the only store for counters
+  (:func:`metric_inc`, or a pre-bound ``METRICS.cell`` on the hot path),
+  gauges (:func:`metric_set`) and log-linear histograms with p50/p95/p99
+  (:func:`metric_observe`) — plus the **accuracy residual ledger**
+  recording estimate-vs-truth observations (paper metric M1) wherever
+  ground truth is computed anyway. Unlike traces, metrics are always on;
+  snapshots are versioned, picklable, and merge across parallel workers
+  in task order.
 - **Flight recorder** (:mod:`repro.observability.flight`): a bounded ring
   of the most recent spans/metric events; dumps a postmortem JSON on
   estimator exceptions, failed parallel tasks, or error spans when armed
@@ -85,9 +87,7 @@ from repro.observability.metrics import (
 )
 from repro.observability.trace import (
     NULL_SPAN,
-    count,
     maybe_trace,
-    observe,
     timed_span,
     trace,
     tracing_enabled,
@@ -126,7 +126,6 @@ __all__ = [
     "TraceData",
     "TracePayload",
     "aggregate_spans",
-    "count",
     "error_time_table",
     "flush",
     "get_collector",
@@ -136,7 +135,6 @@ __all__ = [
     "metric_observe",
     "metric_set",
     "metrics_snapshot",
-    "observe",
     "prometheus_exposition",
     "read_metrics_jsonl",
     "read_trace",

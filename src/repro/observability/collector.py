@@ -53,28 +53,26 @@ class TracePayload:
     """
 
     spans: List[SpanRecord] = field(default_factory=list)
-    counters: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, List[float]] = field(default_factory=dict)
     outcomes: List[Dict[str, Any]] = field(default_factory=list)
     #: Metrics-registry *delta* accumulated while the task ran (what the
-    #: worker's registry gained relative to its entry snapshot). ``None``
-    #: on payloads from builds that predate the metrics layer.
+    #: worker's registry gained relative to its entry snapshot) — the only
+    #: way worker counters, gauges and histograms reach the parent.
     metrics: Optional[MetricsSnapshot] = None
 
     @property
     def empty(self) -> bool:
         return not (
             self.spans
-            or self.counters
-            or self.histograms
             or self.outcomes
             or (self.metrics is not None and not self.metrics.empty)
         )
 
 
 class Collector(abc.ABC):
-    """Sink for spans, counters, histograms, and benchmark outcomes.
+    """Sink for spans and benchmark outcomes.
 
+    Counters, gauges and histograms live in the process-wide
+    :data:`~repro.observability.metrics.METRICS` registry, never here.
     ``enabled`` is the fast-path switch: when ``False``, instrumentation
     skips timing and never calls the ``record_*`` methods.
     """
@@ -85,19 +83,11 @@ class Collector(abc.ABC):
     def record_span(self, record: SpanRecord) -> None:
         """Store one completed span."""
 
-    @abc.abstractmethod
-    def increment(self, name: str, value: float = 1.0) -> None:
-        """Add *value* to the counter *name*."""
-
-    @abc.abstractmethod
-    def observe(self, name: str, value: float) -> None:
-        """Append one observation to the histogram *name*."""
-
     def record_outcome(self, outcome: Mapping[str, Any]) -> None:
         """Store one benchmark outcome (error-vs-time report row)."""
 
     def merge(self, payload: TracePayload) -> None:
-        """Fold a worker's :class:`TracePayload` into this collector.
+        """Fold a worker's spans and outcomes into this collector.
 
         Implemented in terms of the primitive ``record_*`` hooks, so any
         collector (including a disabled one, which drops everything)
@@ -105,11 +95,6 @@ class Collector(abc.ABC):
         """
         for span in payload.spans:
             self.record_span(span)
-        for name, value in payload.counters.items():
-            self.increment(name, value)
-        for name, values in payload.histograms.items():
-            for value in values:
-                self.observe(name, value)
         for outcome in payload.outcomes:
             self.record_outcome(outcome)
 
@@ -122,15 +107,9 @@ class NullCollector(Collector):
     def record_span(self, record: SpanRecord) -> None:  # pragma: no cover
         pass
 
-    def increment(self, name: str, value: float = 1.0) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
 
 class RecordingCollector(Collector):
-    """Accumulates spans, counters, histograms, and outcomes in memory.
+    """Accumulates spans and outcomes in memory.
 
     Thread-safe: the SparsEst harness and the distributed-sketching helpers
     may record from worker threads.
@@ -140,22 +119,12 @@ class RecordingCollector(Collector):
 
     def __init__(self) -> None:
         self.spans: List[SpanRecord] = []
-        self.counters: Dict[str, float] = {}
-        self.histograms: Dict[str, List[float]] = {}
         self.outcomes: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
 
     def record_span(self, record: SpanRecord) -> None:
         with self._lock:
             self.spans.append(record)
-
-    def increment(self, name: str, value: float = 1.0) -> None:
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def observe(self, name: str, value: float) -> None:
-        with self._lock:
-            self.histograms.setdefault(name, []).append(float(value))
 
     def record_outcome(self, outcome: Mapping[str, Any]) -> None:
         with self._lock:
@@ -165,8 +134,6 @@ class RecordingCollector(Collector):
         """Drop everything recorded so far."""
         with self._lock:
             self.spans.clear()
-            self.counters.clear()
-            self.histograms.clear()
             self.outcomes.clear()
 
     def span_names(self) -> List[str]:
@@ -186,8 +153,6 @@ class RecordingCollector(Collector):
         with self._lock:
             return TracePayload(
                 spans=list(self.spans),
-                counters=dict(self.counters),
-                histograms={name: list(vals) for name, vals in self.histograms.items()},
                 outcomes=[dict(outcome) for outcome in self.outcomes],
             )
 

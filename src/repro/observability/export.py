@@ -4,17 +4,20 @@ The on-disk format is JSON lines, one record per line, discriminated by a
 ``type`` field:
 
 - ``{"type": "span", "name", "start", "seconds", "depth", "attrs"}``
-- ``{"type": "counter", "name", "value"}``
-- ``{"type": "histogram", "name", "values"}``
 - ``{"type": "outcome", "use_case", "estimator", "relative_error",
   "seconds", "status", ...}``
 - ``{"type": "metrics", "schema", "counters", "gauges", "histograms",
   ...}`` — a versioned :class:`~repro.observability.metrics.MetricsSnapshot`
   (see :data:`~repro.observability.metrics.METRICS_SCHEMA_VERSION`;
-  readers reject snapshots from a newer schema).
+  readers reject snapshots from a newer schema). The file's only counter,
+  gauge and histogram store.
 - ``{"type": "residual", "source", "estimator", "workload", "op",
   "estimate", "truth", "relative_error", "seconds"}`` — one accuracy
   ledger entry.
+
+Files written by schema-1 builds also hold ``counter`` and ``histogram``
+records: per-run copies of what the same file's ``metrics`` record
+already carries. The reader skips them like any unknown record type.
 
 ``python -m repro stats FILE...`` renders the aggregate tables from such
 files (merging multiple); benchmarks can also consume traces
@@ -38,6 +41,7 @@ from repro.observability.collector import RecordingCollector, SpanRecord
 from repro.observability.metrics import (
     MetricsSnapshot,
     ResidualRecord,
+    _bucket_lower,
     _Histogram,
 )
 
@@ -69,8 +73,6 @@ class TraceData:
     """Contents of a trace file (or a live collector), decoded."""
 
     spans: List[SpanRecord] = field(default_factory=list)
-    counters: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, List[float]] = field(default_factory=dict)
     outcomes: List[Dict[str, Any]] = field(default_factory=list)
     #: Decoded registry snapshot, when the file contained one (merged when
     #: it contained several).
@@ -83,19 +85,15 @@ def merge_trace_data(parts: Iterable[TraceData]) -> TraceData:
     """Fold several decoded trace/metric files into one view.
 
     Spans, outcomes, and residual ledgers concatenate in input order;
-    counters add; exact-histogram value lists concatenate; metric
-    snapshots merge with registry semantics (counters add, gauges take the
-    later file, bucketed histograms add). The multi-file story behind
-    ``repro stats FILE...`` — per-worker or per-shard dumps aggregate into
-    the same shapes a single-process run would have produced.
+    metric snapshots merge with registry semantics (counters add, gauges
+    take the later file, bucketed histograms add). The multi-file story
+    behind ``repro stats FILE...`` — per-worker or per-shard dumps
+    aggregate into the same shapes a single-process run would have
+    produced.
     """
     merged = TraceData()
     for part in parts:
         merged.spans.extend(part.spans)
-        for name, value in part.counters.items():
-            merged.counters[name] = merged.counters.get(name, 0.0) + value
-        for name, values in part.histograms.items():
-            merged.histograms.setdefault(name, []).extend(values)
         merged.outcomes.extend(part.outcomes)
         merged.residuals.extend(part.residuals)
         if part.metrics is not None:
@@ -138,10 +136,6 @@ def write_trace(
             "depth": span.depth,
             "attrs": _jsonable(dict(span.attrs)),
         })
-    for name, value in sorted(collector.counters.items()):
-        records.append({"type": "counter", "name": name, "value": value})
-    for name, values in sorted(collector.histograms.items()):
-        records.append({"type": "histogram", "name": name, "values": values})
     for outcome in collector.outcomes:
         records.append({"type": "outcome", **_jsonable(outcome)})
     if metrics is not None:
@@ -185,8 +179,8 @@ def read_metrics_jsonl(path: PathLike) -> MetricsSnapshot:
 def read_trace(path: PathLike) -> TraceData:
     """Parse a JSONL trace file back into structured records.
 
-    Unknown record types are ignored (forward compatibility); blank lines
-    are skipped.
+    Unknown record types — including the ``counter``/``histogram``
+    records of schema-1 files — are ignored; blank lines are skipped.
     """
     data = TraceData()
     with open(path, "r", encoding="utf-8") as handle:
@@ -204,12 +198,6 @@ def read_trace(path: PathLike) -> TraceData:
                     depth=int(record.get("depth", 0)),
                     attrs=record.get("attrs", {}),
                 ))
-            elif kind == "counter":
-                data.counters[record["name"]] = float(record["value"])
-            elif kind == "histogram":
-                data.histograms[record["name"]] = [
-                    float(v) for v in record["values"]
-                ]
             elif kind == "outcome":
                 data.outcomes.append({
                     key: value for key, value in record.items()
@@ -409,7 +397,8 @@ def prometheus_exposition(snapshot: MetricsSnapshot) -> str:
     """Render *snapshot* in the Prometheus text exposition format (0.0.4).
 
     Counters gain a ``_total`` suffix, histograms are emitted as
-    cumulative ``_bucket{le="..."}`` series (log2 bucket upper bounds)
+    cumulative ``_bucket{le="..."}`` series (log-linear sub-bucket upper
+    edges)
     with ``_sum``/``_count``, and the residual ledger is aggregated into
     labelled ``repro_residual_*`` series per (source, estimator). Every
     line is either a ``# HELP``/``# TYPE`` comment or a single sample, so
@@ -436,7 +425,7 @@ def prometheus_exposition(snapshot: MetricsSnapshot) -> str:
             lines.append(f'{prom}_bucket{{le="0"}} {cumulative}')
         for index in sorted(histogram.buckets):
             cumulative += histogram.buckets[index]
-            upper = _prom_value(2.0 ** (index + 1))
+            upper = _prom_value(_bucket_lower(index + 1))
             lines.append(f'{prom}_bucket{{le="{upper}"}} {cumulative}')
         lines.append(f'{prom}_bucket{{le="+Inf"}} {histogram.count}')
         lines.append(f"{prom}_sum {_prom_value(histogram.total)}")

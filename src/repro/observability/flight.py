@@ -17,9 +17,9 @@ inspected programmatically.
 
 Event recording is append-to-deque cheap, but it is *not* free, so the
 recorder only sees what the observability layer already touches: spans
-that were actually timed (tracing enabled, or ``timed_span``), explicit
-``count()`` calls, and residual-ledger appends. Raw HOTPATH slot bumps
-never reach it.
+that were actually timed (tracing enabled, or ``timed_span``),
+``metric_inc`` calls, and residual-ledger appends. Hot-path counter cells
+(``METRICS.cell``) never reach it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ FLIGHT_DUMP_ENV = "REPRO_FLIGHT_DUMP"
 DEFAULT_CAPACITY = 256
 
 #: Version stamp on postmortem files (bumped with the snapshot schema).
-POSTMORTEM_VERSION = 1
+POSTMORTEM_VERSION = 2
 
 
 class FlightRecorder:

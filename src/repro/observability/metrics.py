@@ -8,19 +8,24 @@ distributions look like, and — crucially for the paper's accuracy/cost
 trade-off — *how wrong was each estimator wherever ground truth was
 available, and what did that error cost*.
 
-Three instruments live in one :class:`MetricsRegistry`:
+:data:`METRICS` is the only store for counters, gauges and histograms in a
+process; trace collectors carry spans and benchmark outcomes only. Three
+instruments, one writer each:
 
 - **Counters** — monotonic floats (``catalog.store.hit``,
-  ``parallel.tasks``, the absorbed ``hotpath.*`` slots, ...). Every
-  :func:`repro.observability.trace.count` call feeds the registry
-  unconditionally, so counters survive whether or not a trace collector is
-  listening.
+  ``parallel.tasks``, ``hotpath.*``, ...), bumped by :func:`metric_inc`.
+  The estimation hot path bumps a pre-bound :class:`CounterCell` instead
+  (``METRICS.cell(name)``): ``cell.value += 1`` takes no lock, makes no
+  call and records no flight event. Snapshots, merges and resets treat a
+  cell like any other counter.
 - **Gauges** — last-written point-in-time values
-  (``catalog.store.bytes_used``, ``catalog.store.entries``).
-- **Histograms** — log2-bucketed distributions with *exact* ``min``/``max``
-  /``count``/``sum`` and bucketed ``p50``/``p95``/``p99`` (quantiles are
-  read from the bucket containing the rank, so their error is bounded by
-  one octave and clamped into ``[min, max]``).
+  (``catalog.store.bytes_used``, ``catalog.store.entries``), set by
+  :func:`metric_set`.
+- **Histograms** — log-linear distributions fed by :func:`metric_observe`:
+  :data:`SUB_BUCKETS` linear sub-buckets per octave, *exact*
+  ``min``/``max``/``count``/``sum``, and ``p50``/``p95``/``p99`` read at
+  the midpoint of the sub-bucket holding the rank (within 1/32, about 3%,
+  of every value in it) and clamped into ``[min, max]``.
 
 The **residual ledger** is a bounded ring of :class:`ResidualRecord`
 entries — ``(source, estimator, workload, op, estimate, truth,
@@ -42,6 +47,11 @@ operations the parallel engine relies on:
   order, so merged output is deterministic regardless of scheduling, and a
   crashed worker simply contributes nothing (merged = sum of survivors).
 
+Schema 1 snapshots (one-octave histograms) stay readable: their counters,
+gauges and ledger totals decode unchanged, and their histograms are
+dropped, because an octave's count cannot be split into sub-buckets
+without inventing data.
+
 Durability: :func:`flush` (also registered via ``atexit``) writes a JSONL
 snapshot to ``$REPRO_METRICS_DUMP`` (a file, or a directory that receives
 ``metrics-<pid>.jsonl``), so counters and the ledger survive a process
@@ -61,7 +71,12 @@ from typing import Any, Deque, Dict, List, Mapping, Optional
 
 #: Version stamp embedded in every snapshot record; readers reject
 #: payloads from a newer format (mirroring ``repro.core.serialize``).
-METRICS_SCHEMA_VERSION = 1
+#: Version 2 replaced one-octave histogram buckets with log-linear ones.
+METRICS_SCHEMA_VERSION = 2
+
+#: Linear sub-buckets per octave in every histogram (``2**_SUB_BITS``).
+_SUB_BITS = 4
+SUB_BUCKETS = 1 << _SUB_BITS
 
 #: Environment variable naming the flush target (file, or directory).
 METRICS_DUMP_ENV = "REPRO_METRICS_DUMP"
@@ -149,13 +164,33 @@ class ResidualRecord:
 # ----------------------------------------------------------------------
 
 
-class _Histogram:
-    """Log2-bucketed histogram with exact count/sum/min/max.
+def _bucket_index(value: float) -> int:
+    """Sub-bucket of a positive finite *value*: ``SUB_BUCKETS`` per octave.
 
-    Positive observations land in bucket ``floor(log2(v))`` (so bucket *i*
-    covers ``[2^i, 2^(i+1))``); non-positive observations are counted in a
-    dedicated zero bucket. Quantiles interpolate to the geometric midpoint
-    of the bucket holding the rank and are clamped into ``[min, max]``.
+    ``value = mantissa * 2**exponent`` with ``mantissa`` in ``[0.5, 1)``, so
+    ``mantissa * 2 * SUB_BUCKETS`` is exact and its floor picks the linear
+    slice of the octave ``[2**(exponent-1), 2**exponent)``. Bucket edges
+    are exact for normal floats; for subnormal values they round, and
+    quantiles there rest on the ``[min, max]`` clamp.
+    """
+    mantissa, exponent = math.frexp(value)
+    return SUB_BUCKETS * (exponent - 2) + int(mantissa * 2 * SUB_BUCKETS)
+
+
+def _bucket_lower(index: int) -> float:
+    """Lower edge of sub-bucket *index*; its upper edge is
+    ``_bucket_lower(index + 1)``."""
+    octave, sub = divmod(index, SUB_BUCKETS)
+    return math.ldexp(SUB_BUCKETS + sub, octave - _SUB_BITS)
+
+
+class _Histogram:
+    """Log-linear histogram with exact count/sum/min/max.
+
+    Positive finite observations land in sub-bucket :func:`_bucket_index`;
+    non-positive ones are counted in a dedicated zero bucket; NaN and
+    infinities are dropped. Quantiles read the arithmetic midpoint of the
+    sub-bucket holding the rank, clamped into ``[min, max]``.
     """
 
     __slots__ = ("buckets", "zeros", "count", "total", "min", "max")
@@ -170,10 +205,10 @@ class _Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        if math.isnan(value):
+        if not math.isfinite(value):
             return
         if value > 0.0:
-            index = math.frexp(value)[1] - 1  # floor(log2(value)), exact
+            index = _bucket_index(value)
             self.buckets[index] = self.buckets.get(index, 0) + 1
         else:
             self.zeros += 1
@@ -195,7 +230,7 @@ class _Histogram:
         for index in sorted(self.buckets):
             cumulative += self.buckets[index]
             if cumulative >= target:
-                midpoint = 2.0 ** (index + 0.5)  # geometric bucket center
+                midpoint = 0.5 * (_bucket_lower(index) + _bucket_lower(index + 1))
                 return min(max(midpoint, self.min), self.max)
         return self.max  # pragma: no cover - counts always sum to count
 
@@ -395,7 +430,8 @@ class MetricsSnapshot:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MetricsSnapshot":
-        """Decode :meth:`to_dict` output; rejects future schema versions."""
+        """Decode :meth:`to_dict` output; rejects future schema versions
+        and drops the one-octave histograms of schema 1."""
         version = int(data.get("schema", METRICS_SCHEMA_VERSION))
         if version > METRICS_SCHEMA_VERSION:
             raise ValueError(
@@ -403,14 +439,12 @@ class MetricsSnapshot:
                 f"supports (reads up to {METRICS_SCHEMA_VERSION}); refusing "
                 "to decode a payload from a future format"
             )
+        histograms = data.get("histograms", {}) if version >= 2 else {}
         return cls(
             version=version,
             counters={k: float(v) for k, v in data.get("counters", {}).items()},
             gauges={k: float(v) for k, v in data.get("gauges", {}).items()},
-            histograms={
-                name: dict(state)
-                for name, state in data.get("histograms", {}).items()
-            },
+            histograms={name: dict(state) for name, state in histograms.items()},
             residuals_seen=int(data.get("residuals_seen", 0)),
             residuals_dropped=int(data.get("residuals_dropped", 0)),
         )
@@ -419,6 +453,22 @@ class MetricsSnapshot:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
+
+
+class CounterCell:
+    """A pre-bound counter for hot sites: ``cell.value += 1``.
+
+    Obtained once, at import time, from :meth:`MetricsRegistry.cell`. A
+    bump is one attribute update — no lock, no call, no flight event — so
+    it costs what a plain integer slot costs. Being unlocked, two threads
+    bumping the same cell at once may lose an update; the hot-path
+    counts are diagnostics and accept that.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
 
 
 class MetricsRegistry:
@@ -431,13 +481,11 @@ class MetricsRegistry:
             )
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
+        self._cells: Dict[str, CounterCell] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, _Histogram] = {}
         self._residuals: Deque[ResidualRecord] = deque(maxlen=ledger_capacity)
         self._residuals_seen = 0
-        #: Last HOTPATH values folded into the counters (sync is delta-based
-        #: so merged-in worker contributions are never overwritten).
-        self._hotpath_synced: Dict[str, int] = {}
 
     # -- writes --------------------------------------------------------
 
@@ -445,6 +493,14 @@ class MetricsRegistry:
         """Add *value* to the monotonic counter *name*."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0.0) + value
+
+    def cell(self, name: str) -> CounterCell:
+        """The hot-path cell of counter *name* (one per name)."""
+        with self._lock:
+            cell = self._cells.get(name)
+            if cell is None:
+                cell = self._cells[name] = CounterCell()
+            return cell
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set the gauge *name* to *value* (last writer wins)."""
@@ -475,34 +531,18 @@ class MetricsRegistry:
                 },
             )
 
-    # -- hotpath absorption -------------------------------------------
-
-    def sync_hotpath(self) -> None:
-        """Fold the :data:`repro.core.hotpath.HOTPATH` slot counters into
-        the registry as ``hotpath.*`` (delta-based, idempotent)."""
-        try:
-            from repro.core.hotpath import HOTPATH
-        except ImportError:  # pragma: no cover - core always present here
-            return
-        current = HOTPATH.snapshot()
-        with self._lock:
-            for name, value in current.items():
-                delta = value - self._hotpath_synced.get(name, 0)
-                if delta:
-                    key = f"hotpath.{name}"
-                    self._counters[key] = self._counters.get(key, 0.0) + delta
-                self._hotpath_synced[name] = value
-
     # -- reads ---------------------------------------------------------
 
-    def snapshot(self, sync_hotpath: bool = True) -> MetricsSnapshot:
+    def snapshot(self) -> MetricsSnapshot:
         """Copy the registry into a picklable, versioned snapshot."""
-        if sync_hotpath:
-            self.sync_hotpath()
         with self._lock:
+            counters = dict(self._counters)
+            for name, cell in self._cells.items():
+                if cell.value:
+                    counters[name] = counters.get(name, 0.0) + cell.value
             dropped = self._residuals_seen - len(self._residuals)
             return MetricsSnapshot(
-                counters=dict(self._counters),
+                counters=counters,
                 gauges=dict(self._gauges),
                 histograms={
                     name: histogram.state()
@@ -536,14 +576,16 @@ class MetricsRegistry:
             self._residuals_seen += snapshot.residuals_seen
 
     def reset(self) -> None:
-        """Zero everything (test isolation; the ledger capacity is kept)."""
+        """Zero everything (test isolation). Cells stay bound, at zero;
+        the ledger capacity is kept."""
         with self._lock:
             self._counters.clear()
+            for cell in self._cells.values():
+                cell.value = 0
             self._gauges.clear()
             self._histograms.clear()
             self._residuals.clear()
             self._residuals_seen = 0
-            self._hotpath_synced.clear()
 
 
 #: The process-wide registry every helper below writes to.
@@ -566,7 +608,8 @@ def attach_flight(recorder) -> None:
 
 
 def metric_inc(name: str, value: float = 1.0) -> None:
-    """Increment the process-wide counter *name*."""
+    """Increment the process-wide counter *name* and note it in the flight
+    recorder. Hot paths use a :class:`CounterCell` instead."""
     METRICS.inc(name, value)
     flight = _flight
     if flight is not None and flight.enabled:
@@ -619,7 +662,7 @@ def record_residual(
 
 
 def metrics_snapshot() -> MetricsSnapshot:
-    """Snapshot the process-wide registry (hotpath counters included)."""
+    """Snapshot the process-wide registry."""
     return METRICS.snapshot()
 
 
@@ -644,7 +687,7 @@ def _flush_target(path: Optional[os.PathLike | str]) -> Optional[Path]:
 
 
 def flush(path: Optional[os.PathLike | str] = None) -> Optional[Path]:
-    """Write the current snapshot (hotpath counters synced) as JSONL.
+    """Write the current snapshot as JSONL.
 
     The destination is *path*, or ``$REPRO_METRICS_DUMP`` when unset; a
     directory target receives a per-process ``metrics-<pid>.jsonl`` so

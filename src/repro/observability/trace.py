@@ -33,7 +33,6 @@ from typing import Any, Callable, List, Optional, TypeVar
 
 from repro.observability.collector import SpanRecord, get_collector
 from repro.observability.flight import FLIGHT
-from repro.observability.metrics import METRICS
 
 F = TypeVar("F", bound=Callable[..., Any])
 
@@ -198,32 +197,3 @@ def maybe_trace(name: str, **attrs: Any):
     if get_collector().enabled:
         return trace(name, **attrs)
     return NULL_SPAN
-
-
-def count(name: str, value: float = 1.0) -> None:
-    """Increment the counter *name*.
-
-    Always feeds the process-wide metrics registry (counters are cheap and
-    must survive untraced runs); additionally mirrors to the active
-    collector when a trace is being recorded, so trace files keep their
-    per-run counter tables.
-    """
-    METRICS.inc(name, value)
-    if FLIGHT.enabled:
-        FLIGHT.record("metric", name, detail={"delta": value})
-    collector = get_collector()
-    if collector.enabled:
-        collector.increment(name, value)
-
-
-def observe(name: str, value: float) -> None:
-    """Record one histogram observation.
-
-    Always feeds the process-wide metrics registry (log-bucketed, bounded
-    memory); mirrors the exact value to the active collector when a trace
-    is being recorded.
-    """
-    METRICS.observe(name, value)
-    collector = get_collector()
-    if collector.enabled:
-        collector.observe(name, value)

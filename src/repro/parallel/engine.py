@@ -14,13 +14,14 @@ performs. Three properties make that safe to rely on:
   (``BrokenProcessPool``) converts the affected tasks to failures instead
   of hanging or killing the run. The pool never takes the parent down.
 - **Trace merging.** When the parent has an enabled collector, each worker
-  records its spans/counters/histograms/outcomes into a private
+  records its spans and outcomes into a private
   :class:`~repro.observability.collector.RecordingCollector`, snapshots it
   as a picklable :class:`~repro.observability.collector.TracePayload`, and
   ships it back with the result. The parent merges payloads in task order,
   so ``repro stats`` and ``--trace`` see one coherent trace regardless of
   worker count (worker span ``start`` offsets are process-relative and
-  only meaningful for intra-worker ordering).
+  only meaningful for intra-worker ordering). Counters, gauges and
+  histograms travel separately, as a metrics delta in the same payload.
 
 Workers are forked where available (Linux), so they inherit warm state —
 the use-case dataset disk cache, the ground-truth memo, registered
@@ -46,8 +47,8 @@ from repro.observability.collector import (
     using_collector,
 )
 from repro.observability.flight import FLIGHT
-from repro.observability.metrics import METRICS
-from repro.observability.trace import count, timed_span
+from repro.observability.metrics import METRICS, metric_inc
+from repro.observability.trace import timed_span
 
 #: Environment variable supplying the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -158,7 +159,7 @@ class WorkerPool:
         with self._lock:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(max_workers=self.workers)
-                count("parallel.pool_spawns")
+                metric_inc("parallel.pool_spawns")
             return self._executor
 
     def reset(self) -> None:
@@ -226,7 +227,7 @@ def _run_serial(fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[TaskResu
         except Exception as exc:  # noqa: BLE001 - mirrored pool semantics
             failure = _failure_from(exc)
             results.append(TaskResult(index=index, failure=failure))
-            count("parallel.failures")
+            metric_inc("parallel.failures")
             FLIGHT.trigger_dump(
                 "task_failure", task_index=index,
                 kind=failure.kind, message=failure.message,
@@ -244,7 +245,7 @@ def _run_pool(
     tracing = bool(parent.enabled)
     results: List[TaskResult] = [TaskResult(index=i) for i in range(len(tasks))]
     payloads: List[Optional[TracePayload]] = [None] * len(tasks)
-    count("parallel.pool_runs")
+    metric_inc("parallel.pool_runs")
     broken = False
     if pool is not None:
         executor = pool.executor()
@@ -269,14 +270,14 @@ def _run_pool(
                     kind="BrokenProcessPool",
                     message="worker process died before completing this task",
                 )
-                count("parallel.broken_pool_tasks")
+                metric_inc("parallel.broken_pool_tasks")
                 FLIGHT.trigger_dump(
                     "task_failure", task_index=index, kind="BrokenProcessPool",
                 )
                 continue
             except Exception as exc:  # noqa: BLE001 - e.g. unpicklable result
                 results[index].failure = _failure_from(exc)
-                count("parallel.failures")
+                metric_inc("parallel.failures")
                 FLIGHT.trigger_dump(
                     "task_failure", task_index=index,
                     kind=results[index].failure.kind,
@@ -286,7 +287,7 @@ def _run_pool(
             payloads[index] = payload
             if isinstance(value, TaskFailure):
                 results[index].failure = value
-                count("parallel.failures")
+                metric_inc("parallel.failures")
                 FLIGHT.trigger_dump(
                     "task_failure", task_index=index,
                     kind=value.kind, message=value.message,
@@ -311,7 +312,7 @@ def _run_pool(
             parent.merge(payload)
         if payload.metrics is not None:
             METRICS.merge(payload.metrics)
-    count("parallel.tasks", float(len(tasks)))
+    metric_inc("parallel.tasks", float(len(tasks)))
     return results
 
 

@@ -42,8 +42,7 @@ from repro.estimators.mnc import MNCSynopsis
 from repro.estimators.spec import EstimatorSpec
 from repro.ir.estimate import _propagate_dag, estimate_root_nnz
 from repro.ir.nodes import Expr
-from repro.observability.metrics import metric_observe
-from repro.observability.trace import count
+from repro.observability.metrics import metric_inc, metric_observe
 from repro.opcodes import Op
 from repro.router.policy import RoutingPolicy
 from repro.router.probe import ProbeReport, probe_hardness
@@ -202,7 +201,7 @@ class AdaptiveRouter:
     ) -> Tuple[float, RouteDecision]:
         """Estimate ``nnz(root)``, escalating tiers until the uncertainty
         width fits the tolerance. Returns ``(nnz, decision)``."""
-        count("router.requests")
+        metric_inc("router.requests")
         # Fingerprinting hashes every leaf's data — as expensive as some
         # whole tiers. Only seeded tiers need it (for seed derivation), so
         # compute it lazily: a metadata-only route never pays for it.
@@ -223,7 +222,7 @@ class AdaptiveRouter:
                 skipped=0, tolerance=self.tolerance, width=0.0, lower=nnz,
                 upper=nnz, certified=True, probe=None, tiers_tried=("exact",),
             )
-            count("router.tier_used.exact")
+            metric_inc("router.tier_used.exact")
             metric_observe("router.escalations", 0.0)
             return nnz, decision
 
@@ -232,7 +231,7 @@ class AdaptiveRouter:
         start = 0
         if self.probe:
             report = probe_hardness(root, seed=self.seed)
-            count(f"router.probe.{report.hardness}")
+            metric_inc(f"router.probe.{report.hardness}")
             min_cost = _PROBE_START_COST[report.hardness]
             for index, tier in enumerate(ladder):
                 if tier.cost >= min_cost:
@@ -261,7 +260,7 @@ class AdaptiveRouter:
                 )
             except (EstimationError,) as exc:
                 last_error = exc
-                count(f"router.tier_failed.{tier.name}")
+                metric_inc(f"router.tier_failed.{tier.name}")
                 continue
             evaluations += 1
             best = (nnz, tier, index, width, lower, upper, certified)
@@ -288,10 +287,10 @@ class AdaptiveRouter:
             probe=report,
             tiers_tried=tuple(tried),
         )
-        count(f"router.tier_used.{tier.name}")
+        metric_inc(f"router.tier_used.{tier.name}")
         metric_observe("router.escalations", float(escalations))
         if skipped:
-            count("router.tiers_skipped", float(skipped))
+            metric_inc("router.tiers_skipped", float(skipped))
         return nnz, decision
 
     def estimate(

@@ -31,7 +31,7 @@ from repro.core.incremental import IncrementalSketch
 from repro.core.sketch import MNCSketch
 from repro.errors import ProtocolError, SketchError
 from repro.ir.nodes import Expr, leaf
-from repro.observability.trace import count
+from repro.observability.metrics import metric_inc
 
 
 class MatrixRegistry:
@@ -60,7 +60,7 @@ class MatrixRegistry:
             self._leaves[name] = leaf(matrix, name=name)
             self._fingerprints[name] = fingerprint
             self._incrementals.pop(name, None)
-        count("serve.registry.register")
+        metric_inc("serve.registry.register")
         return fingerprint
 
     def register_partitioned(
@@ -100,7 +100,7 @@ class MatrixRegistry:
             self._leaves[name] = leaf(matrix, name=name)
             self._fingerprints[name] = fingerprint
             self._incrementals.pop(name, None)
-        count("serve.registry.register_partitioned")
+        metric_inc("serve.registry.register_partitioned")
         return fingerprint
 
     # ------------------------------------------------------------------
@@ -140,7 +140,7 @@ class MatrixRegistry:
             self._matrices[name] = matrix
             self._leaves[name] = leaf(matrix, name=name)
             self._fingerprints[name] = fingerprint
-        count("serve.registry.update")
+        metric_inc("serve.registry.update")
         return fingerprint
 
     def _invalidate_rebind(self, name: str) -> None:

@@ -43,8 +43,7 @@ from repro.errors import EstimatorError, ProtocolError, ReproError
 from repro.estimators.base import available_estimators
 from repro.ir.nodes import Expr
 from repro.observability.export import prometheus_exposition
-from repro.observability.metrics import metric_observe, metrics_snapshot
-from repro.observability.trace import count
+from repro.observability.metrics import metric_inc, metric_observe, metrics_snapshot
 from repro.serve.protocol import (
     canonical_expr_key,
     decode_estimate_request,
@@ -263,10 +262,10 @@ class EstimationServer:
             payload = _json_bytes({"error": f"{type(exc).__name__}: {exc}"})
             content_type = _JSON
         elapsed = time.perf_counter() - started
-        count(f"serve.requests.{route}")
+        metric_inc(f"serve.requests.{route}")
         metric_observe(f"serve.latency_seconds.{route}", elapsed)
         if status >= 400:
-            count(f"serve.errors.{status}")
+            metric_inc(f"serve.errors.{status}")
         return status, payload, content_type
 
     async def _route(
@@ -402,7 +401,7 @@ class EstimationServer:
             cached = self._parse_cache.get(key)
             if cached is not None:
                 self._parse_cache.move_to_end(key)
-                count("serve.parse_cache.hit")
+                metric_inc("serve.parse_cache.hit")
                 return cached
         expr = decode_expr(wire, self.registry.resolve)
         with self._parse_lock:
@@ -410,7 +409,7 @@ class EstimationServer:
             self._parse_cache.move_to_end(key)
             while len(self._parse_cache) > PARSE_CACHE_ENTRIES:
                 self._parse_cache.popitem(last=False)
-        count("serve.parse_cache.miss")
+        metric_inc("serve.parse_cache.miss")
         return expr
 
     def _stats_payload(self) -> Dict[str, Any]:

@@ -25,8 +25,6 @@ from repro.sparsest.runner import (
     execute,
     execute_outcomes,
     requests_for,
-    run_estimators,
-    run_use_case,
 )
 from repro.sparsest.usecases import (
     UseCase,
@@ -49,7 +47,5 @@ __all__ = [
     "get_use_case",
     "relative_error",
     "requests_for",
-    "run_estimators",
-    "run_use_case",
     "use_case_ids",
 ]

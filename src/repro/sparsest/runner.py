@@ -12,9 +12,7 @@ out-of-memory bitset cases) yield ``oom``.
 The one entry point is :func:`execute`: it takes self-describing, picklable
 :class:`EstimationRequest` objects and returns :class:`EstimationResult`
 objects in request order, optionally fanning independent requests out to a
-process pool (``workers``, default ``$REPRO_WORKERS`` or serial). The
-legacy ``run_use_case`` / ``run_repeated`` / ``run_estimators`` signatures
-remain as deprecation shims over it.
+process pool (``workers``, default ``$REPRO_WORKERS`` or serial).
 
 Determinism contract: a request whose ``estimator`` is a registry *name*
 is materialized as a fresh, identically-configured instance per request,
@@ -22,16 +20,15 @@ in workers and in the serial path alike — so ``workers=N`` produces
 bit-identical estimates to ``workers=1`` for any N (wall-clock ``seconds``
 are physical measurements and naturally vary; compare outcomes with
 :meth:`EstimateOutcome.deterministic_key`). Requests carrying estimator
-*instances* (the shim path) share that instance's state across cells
-exactly as the old API did, and therefore always run serially.
+*instances* share that instance's state across cells and therefore always
+run serially.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Union
 
 from repro.catalog.fingerprint import fingerprint_expr
 from repro.catalog.memo import EstimateMemo
@@ -108,13 +105,9 @@ class EstimationRequest:
             the registry; forces serial execution).
         estimator: registry name or ``"auto"`` (preferred — materialized
             fresh per request, safe to ship to workers), an
-            :class:`~repro.estimators.spec.EstimatorSpec`, or a live
-            estimator instance (legacy shims; forces serial execution,
-            shares state across requests).
-        estimator_options: deprecated — fold options into an
-            :class:`EstimatorSpec` instead. Still honored: constructor
-            keyword arguments for name-based estimators, as a sorted
-            tuple of ``(key, value)`` pairs.
+            :class:`~repro.estimators.spec.EstimatorSpec` (which carries
+            constructor options), or a live estimator instance (forces
+            serial execution, shares state across requests).
         scale: use-case dimension scale.
         seed: base data seed (also the adaptive router's base seed for
             ``"auto"`` requests).
@@ -128,7 +121,6 @@ class EstimationRequest:
 
     use_case: Union[str, UseCase]
     estimator: Union[str, EstimatorSpec, SparsityEstimator]
-    estimator_options: Tuple[Tuple[str, Any], ...] = ()
     scale: float = 1.0
     seed: int = 0
     repetitions: int = 1
@@ -139,13 +131,6 @@ class EstimationRequest:
         if self.repetitions < 1:
             raise ValueError(
                 f"repetitions must be positive, got {self.repetitions}"
-            )
-        if self.estimator_options:
-            warnings.warn(
-                "EstimationRequest.estimator_options is deprecated; pass an "
-                "EstimatorSpec with options as the estimator instead",
-                DeprecationWarning,
-                stacklevel=3,
             )
         if self.tolerance is not None and not self.is_auto:
             raise EstimatorOptionError(
@@ -183,10 +168,9 @@ class EstimationRequest:
         """This request's estimator as a unified :class:`EstimatorSpec`.
 
         Only meaningful for name/spec requests (``portable`` ones); folds
-        the deprecated ``estimator_options`` tuple and the request-level
-        ``tolerance`` into the spec, and defaults the router seed for
-        ``"auto"`` requests to the request's data ``seed`` so routed runs
-        are reproducible from the request alone.
+        the request-level ``tolerance`` into the spec, and defaults the
+        router seed for ``"auto"`` requests to the request's data ``seed``
+        so routed runs are reproducible from the request alone.
         """
         if isinstance(self.estimator, SparsityEstimator):
             raise EstimatorOptionError(
@@ -197,10 +181,6 @@ class EstimationRequest:
             spec = self.estimator
         else:
             spec = EstimatorSpec.parse(self.estimator)
-        if self.estimator_options:
-            merged = dict(spec.options_dict())
-            merged.update(dict(self.estimator_options))
-            spec = replace(spec, options=tuple(sorted(merged.items())))
         if self.tolerance is not None and spec.tolerance is None:
             spec = replace(spec, tolerance=self.tolerance)
         if spec.is_auto and spec.seed is None:
@@ -463,8 +443,7 @@ def execute(
         on_error: ``"capture"`` converts exceptions — including hard
             worker deaths in pool mode — into results with
             ``status="failed"`` and the crash text in ``error``;
-            ``"raise"`` propagates the first exception (serial only, the
-            legacy shim behavior).
+            ``"raise"`` propagates the first exception (serial only).
 
     Returns:
         One :class:`EstimationResult` per request, in request order.
@@ -518,7 +497,7 @@ def execute_outcomes(
 
 def requests_for(
     use_cases: Sequence[Union[UseCase, str]],
-    estimators: Sequence[str],
+    estimators: Sequence[Union[str, EstimatorSpec]],
     *,
     scale: float = 1.0,
     seed: int = 0,
@@ -526,8 +505,7 @@ def requests_for(
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     tolerance: Optional[float] = None,
 ) -> List[EstimationRequest]:
-    """Cartesian (use case x estimator) request list, use-case-major —
-    the same cell order the legacy ``run_estimators`` produced.
+    """Cartesian (use case x estimator) request list, use-case-major.
 
     *tolerance* applies to ``"auto"`` entries only (concrete estimators
     reject it, so a mixed sweep keeps working).
@@ -544,75 +522,6 @@ def requests_for(
         )
         for case in use_cases
         for name in estimators
-    ]
-
-
-# ----------------------------------------------------------------------
-# Deprecated wrappers (the pre-request API)
-# ----------------------------------------------------------------------
-
-def _deprecated(old: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; build EstimationRequest objects and call "
-        f"repro.sparsest.runner.execute instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_use_case(
-    use_case: UseCase,
-    estimator: SparsityEstimator,
-    scale: float = 1.0,
-    seed: int = 0,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-) -> EstimateOutcome:
-    """Deprecated: one estimator on one use case (see :func:`execute`)."""
-    _deprecated("run_use_case")
-    request = EstimationRequest(
-        use_case=use_case, estimator=estimator, scale=scale, seed=seed,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    return execute([request], workers=1, on_error="raise")[0].outcome
-
-
-def run_repeated(
-    use_case: UseCase,
-    estimator: SparsityEstimator,
-    repetitions: int = 20,
-    scale: float = 1.0,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-) -> EstimateOutcome:
-    """Deprecated: aggregate *repetitions* seeds (see :func:`execute`)."""
-    _deprecated("run_repeated")
-    request = EstimationRequest(
-        use_case=use_case, estimator=estimator, repetitions=repetitions,
-        scale=scale, memory_budget_bytes=memory_budget_bytes,
-    )
-    return execute([request], workers=1, on_error="raise")[0].outcome
-
-
-def run_estimators(
-    use_cases: Sequence[UseCase],
-    estimators: Iterable[SparsityEstimator],
-    scale: float = 1.0,
-    seed: int = 0,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-) -> List[EstimateOutcome]:
-    """Deprecated: cartesian run of estimators over use cases (see
-    :func:`execute`)."""
-    _deprecated("run_estimators")
-    requests = [
-        EstimationRequest(
-            use_case=use_case, estimator=estimator, scale=scale,
-            seed=seed, memory_budget_bytes=memory_budget_bytes,
-        )
-        for use_case in use_cases
-        for estimator in estimators
-    ]
-    return [
-        result.outcome
-        for result in execute(requests, workers=1, on_error="raise")
     ]
 
 

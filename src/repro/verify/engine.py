@@ -36,7 +36,8 @@ from repro.ir import nodes as ir
 from repro.ir.nodes import Expr
 from repro.matrix.conversion import as_csr
 from repro.observability.flight import FLIGHT
-from repro.observability.trace import count, timed_span
+from repro.observability.metrics import metric_inc
+from repro.observability.trace import timed_span
 from repro.opcodes import Op
 from repro.parallel.engine import resolve_workers, run_tasks
 from repro.verify.contracts import (
@@ -231,17 +232,17 @@ class FuzzEngine:
                         # contract check). Re-run the chunk in-process: a
                         # deterministic crash then surfaces with its real
                         # traceback instead of hanging the pool.
-                        count("verify.chunk_retries")
+                        metric_inc("verify.chunk_retries")
                         chunk_cells = self._run_chunk(
                             generator, range(start, stop)
                         )
                     self._merge(cells, chunk_cells)
         report = VerifyReport(seed=self.seed, budget=self.budget, cells=cells)
-        count("verify.cases", float(report.checked))
-        count("verify.skipped", float(report.skipped))
-        count("verify.violations", float(len(report.violations)))
+        metric_inc("verify.cases", float(report.checked))
+        metric_inc("verify.skipped", float(report.skipped))
+        metric_inc("verify.violations", float(len(report.violations)))
         for record in report.violations:
-            count(f"verify.violations.{record.cell.contract}")
+            metric_inc(f"verify.violations.{record.cell.contract}")
             FLIGHT.record(
                 "violation", str(record.cell),
                 detail={"message": record.message[:200]},

@@ -7,7 +7,6 @@ behavior of the deprecated call forms.
 """
 
 import pickle
-import warnings
 
 import pytest
 
@@ -153,20 +152,6 @@ class TestMakeEstimatorErrors:
 
 
 class TestRunnerShims:
-    def test_estimator_options_deprecated(self):
-        from repro.sparsest.runner import EstimationRequest
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            EstimationRequest(
-                use_case="B1.1",
-                estimator="sampling",
-                estimator_options=(("fraction", 0.2),),
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
     def test_request_tolerance_requires_auto(self):
         from repro.sparsest.runner import EstimationRequest
 
@@ -184,14 +169,11 @@ class TestRunnerShims:
         assert spec.seed == 9
         assert spec.tolerance == 0.4
 
-    def test_request_folds_legacy_options_into_spec(self):
+    def test_request_keeps_spec_options(self):
         from repro.sparsest.runner import EstimationRequest
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            request = EstimationRequest(
-                use_case="B1.1",
-                estimator="sampling",
-                estimator_options=(("fraction", 0.25),),
-            )
+        request = EstimationRequest(
+            use_case="B1.1",
+            estimator=EstimatorSpec(name="sampling", options={"fraction": 0.25}),
+        )
         assert request.estimator_spec().options_dict() == {"fraction": 0.25}

@@ -13,8 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.estimators import make_estimator
-from repro.sparsest import all_use_cases, get_use_case, run_use_case
+from repro.estimators.spec import EstimatorSpec
+from repro.sparsest import all_use_cases, execute_outcomes, requests_for
 
 SCALE = 0.03
 
@@ -32,13 +32,16 @@ EXTRA_LINEUP = [
     ("exact", {}),
 ]
 
+QUADTREE = EstimatorSpec(name="quadtree_map", options={"leaf_nnz": 64, "min_block": 8})
+
 
 class TestContract:
     @pytest.mark.parametrize("name,kwargs", EXTRA_LINEUP)
     def test_all_use_cases(self, name, kwargs):
-        estimator = make_estimator(name, **kwargs)
-        for case in all_use_cases():
-            outcome = run_use_case(case, estimator, scale=SCALE)
+        cases = all_use_cases()
+        spec = EstimatorSpec(name=name, options=kwargs)
+        outcomes = execute_outcomes(requests_for(cases, [spec], scale=SCALE))
+        for case, outcome in zip(cases, outcomes):
             if outcome.status == "unsupported":
                 continue
             assert outcome.ok, f"{case.id} x {name}: {outcome.status}"
@@ -48,37 +51,38 @@ class TestContract:
             assert outcome.estimated_nnz <= m * n + 1e-6
 
     def test_exact_oracle_error_is_one_everywhere(self):
-        estimator = make_estimator("exact")
-        for case in all_use_cases():
-            outcome = run_use_case(case, estimator, scale=SCALE)
+        cases = all_use_cases()
+        outcomes = execute_outcomes(requests_for(cases, ["exact"], scale=SCALE))
+        for case, outcome in zip(cases, outcomes):
             assert outcome.relative_error == pytest.approx(1.0), case.id
 
 
 class TestCoverageBoundaries:
     def test_hash_covers_products_only(self):
-        estimator = make_estimator("hash")
-        products = run_use_case(get_use_case("B2.3"), estimator, scale=SCALE)
+        products, elementwise, chain = execute_outcomes(
+            requests_for(["B2.3", "B2.5", "B3.3"], ["hash"], scale=SCALE)
+        )
         assert products.ok
-        elementwise = run_use_case(get_use_case("B2.5"), estimator, scale=SCALE)
         assert elementwise.status == "unsupported"
-        chain = run_use_case(get_use_case("B3.3"), estimator, scale=SCALE)
         assert chain.status == "unsupported"  # no propagation
 
     def test_unbiased_sampling_covers_chains(self):
-        estimator = make_estimator("sampling_unbiased")
-        chain = run_use_case(get_use_case("B3.3"), estimator, scale=SCALE)
+        (chain,) = execute_outcomes(
+            requests_for(["B3.3"], ["sampling_unbiased"], scale=SCALE)
+        )
         assert chain.ok
 
     def test_quadtree_covers_elementwise_not_reshape(self):
-        estimator = make_estimator("quadtree_map", leaf_nnz=64, min_block=8)
-        mask = run_use_case(get_use_case("B2.5"), estimator, scale=SCALE)
+        mask, reshape_case = execute_outcomes(
+            requests_for(["B2.5", "B3.1"], [QUADTREE], scale=SCALE)
+        )
         assert mask.ok
-        reshape_case = run_use_case(get_use_case("B3.1"), estimator, scale=SCALE)
         assert reshape_case.status == "unsupported"
 
     def test_quadtree_reasonable_on_graph_product(self):
-        estimator = make_estimator("quadtree_map", leaf_nnz=64, min_block=8)
-        outcome = run_use_case(get_use_case("B2.4"), estimator, scale=SCALE)
+        (outcome,) = execute_outcomes(
+            requests_for(["B2.4"], [QUADTREE], scale=SCALE)
+        )
         assert outcome.ok
         assert outcome.relative_error < 100
 
@@ -86,11 +90,10 @@ class TestCoverageBoundaries:
 class TestSeedStability:
     @pytest.mark.parametrize("case_id", ["B1.1", "B2.3", "B3.5"])
     def test_mnc_stable_across_data_seeds(self, case_id):
-        estimator = make_estimator("mnc")
         errors = []
         for seed in range(3):
-            outcome = run_use_case(
-                get_use_case(case_id), estimator, scale=SCALE, seed=seed
+            (outcome,) = execute_outcomes(
+                requests_for([case_id], ["mnc"], scale=SCALE, seed=seed)
             )
             assert outcome.ok
             errors.append(outcome.relative_error)

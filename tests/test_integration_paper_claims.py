@@ -19,7 +19,8 @@ from repro.optimizer import (
     optimize_chain_sparse,
     plan_cost_estimated,
 )
-from repro.sparsest import all_use_cases, get_use_case, run_use_case
+from repro.estimators.spec import EstimatorSpec
+from repro.sparsest import all_use_cases, execute, execute_outcomes, requests_for
 
 SCALE = 0.03
 
@@ -31,11 +32,10 @@ def isolated_cache(tmp_path_factory):
 
 
 def error_of(case_id, estimator_name, **kwargs):
-    outcome = run_use_case(
-        get_use_case(case_id), make_estimator(estimator_name, **kwargs),
-        scale=SCALE,
-    )
-    return outcome.relative_error
+    spec = EstimatorSpec(name=estimator_name, options=kwargs)
+    requests = requests_for([case_id], [spec], scale=SCALE)
+    (result,) = execute(requests, on_error="raise")
+    return result.outcome.relative_error
 
 
 class TestFigure10Claims:
@@ -148,13 +148,11 @@ class TestOptimizerClaims:
 
 class TestAllEstimatorsRunEverywhereTheyApply:
     def test_full_matrix_of_outcomes(self):
-        estimators = [
-            make_estimator(name)
-            for name in ("meta_ac", "meta_wc", "mnc", "mnc_basic",
-                         "density_map", "bitset")
-        ]
-        for case in all_use_cases():
-            for estimator in estimators:
-                outcome = run_use_case(case, estimator, scale=SCALE)
-                assert outcome.ok, f"{case.id} x {outcome.estimator}: {outcome.status}"
-                assert np.isfinite(outcome.estimated_nnz)
+        requests = requests_for(
+            all_use_cases(),
+            ["meta_ac", "meta_wc", "mnc", "mnc_basic", "density_map", "bitset"],
+            scale=SCALE,
+        )
+        for outcome in execute_outcomes(requests):
+            assert outcome.ok, f"{outcome.use_case} x {outcome.estimator}: {outcome.status}"
+            assert np.isfinite(outcome.estimated_nnz)

@@ -1,5 +1,7 @@
 """Unit tests for matrix persistence and the dataset cache."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,19 @@ class TestCachedMatrix:
             file.write_bytes(b"not an npz file")
         rebuilt = cached_matrix("key-c", lambda: np.eye(4))
         assert rebuilt.shape == (4, 4)
+
+    def test_interrupted_write_publishes_nothing(self, monkeypatch):
+        import repro.matrix.io as io
+
+        def torn_save(path, matrix):
+            Path(path).write_bytes(b"PK\x03\x04")  # a zip cut short
+            raise RuntimeError("writer killed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "save_matrix", torn_save)
+            with pytest.raises(RuntimeError):
+                cached_matrix("key-t", lambda: np.eye(4))
+        assert cached_matrix("key-t", lambda: np.eye(4)).shape == (4, 4)
 
     def test_cache_dir_respects_env(self, tmp_path):
         assert str(cache_dir()).startswith(str(tmp_path))

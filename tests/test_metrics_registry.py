@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.observability import (
@@ -41,9 +42,18 @@ from repro.observability import (
     write_metrics_jsonl,
     write_trace,
 )
-from repro.observability.collector import RecordingCollector, using_collector
-from repro.observability.metrics import _Histogram, _relative_error
-from repro.observability.trace import count, timed_span
+from repro.observability.collector import (
+    RecordingCollector,
+    get_collector,
+    using_collector,
+)
+from repro.observability.metrics import (
+    _bucket_index,
+    _bucket_lower,
+    _Histogram,
+    _relative_error,
+)
+from repro.observability.trace import timed_span
 
 
 @pytest.fixture(autouse=True)
@@ -68,14 +78,14 @@ class TestRegistry:
         registry.inc("a")
         registry.inc("a", 2.5)
         registry.inc("b", 4)
-        snapshot = registry.snapshot(sync_hotpath=False)
+        snapshot = registry.snapshot()
         assert snapshot.counters == {"a": 3.5, "b": 4.0}
 
     def test_gauges_last_writer_wins(self):
         registry = MetricsRegistry()
         registry.set_gauge("g", 10)
         registry.set_gauge("g", 7)
-        assert registry.snapshot(sync_hotpath=False).gauges == {"g": 7.0}
+        assert registry.snapshot().gauges == {"g": 7.0}
 
     def test_module_helpers_hit_global_registry(self):
         metric_inc("helper.counter", 2)
@@ -87,26 +97,44 @@ class TestRegistry:
         assert snapshot.histograms["helper.hist"]["count"] == 1
 
     def test_count_feeds_registry_without_tracing(self):
-        count("untraced.counter", 3)
-        assert metrics_snapshot().counters["untraced.counter"] == 3.0
+        assert not get_collector().enabled
+        metric_inc("untraced.counter", 3)
+        metric_observe("untraced.hist", 1.0)
+        snapshot = metrics_snapshot()
+        assert snapshot.counters["untraced.counter"] == 3.0
+        assert snapshot.histograms["untraced.hist"]["count"] == 1
 
     def test_hotpath_counters_absorbed_as_deltas(self):
-        from repro.core.hotpath import HOTPATH
         from repro.core.sketch import MNCSketch
         from repro.matrix.random import random_sparse
 
-        before = HOTPATH.snapshot().get("validated_constructions", 0)
         MNCSketch.from_matrix(random_sparse(30, 30, 0.1, seed=1))
         first = metrics_snapshot()
         gained = first.counters.get("hotpath.validated_constructions", 0.0)
         assert gained >= 1
-        # Syncing twice must not double-count (delta-based absorption).
+        # Snapshotting twice must not double-count a cell.
         second = metrics_snapshot()
         assert (
             second.counters["hotpath.validated_constructions"]
             == first.counters["hotpath.validated_constructions"]
         )
-        assert HOTPATH.snapshot()["validated_constructions"] > before
+
+    def test_cells_behave_like_counters(self):
+        registry = MetricsRegistry()
+        cell = registry.cell("c")
+        assert registry.cell("c") is cell
+        assert registry.snapshot().counters == {}  # zero cells stay hidden
+        cell.value += 2
+        registry.inc("c")
+        assert registry.snapshot().counters == {"c": 3.0}
+        registry.merge(MetricsSnapshot(counters={"c": 4.0}))
+        baseline = registry.snapshot()
+        cell.value += 1
+        assert registry.snapshot().delta_since(baseline).counters == {"c": 1.0}
+        assert registry.snapshot().counters == {"c": 8.0}
+        registry.reset()
+        assert cell.value == 0 and registry.snapshot().counters == {}
+        assert registry.cell("c") is cell
 
     def test_ledger_capacity_is_validated(self):
         with pytest.raises(ValueError, match="ledger_capacity"):
@@ -130,14 +158,47 @@ class TestHistogram:
     def test_quantiles_bucket_resolved_and_clamped(self):
         histogram = _Histogram()
         for _ in range(99):
-            histogram.observe(3.0)  # bucket [2, 4)
-        histogram.observe(1000.0)
-        # p50 lands in the [2,4) bucket; midpoint 2^1.5 ~ 2.83, within
-        # one octave of the true median and clamped into [min, max].
-        assert 2.0 <= histogram.quantile(50.0) <= 4.0
-        # The top quantile resolves to the 1000.0 observation's bucket
-        # (one-octave error bound: within [512, 1024)).
-        assert 512.0 <= histogram.quantile(99.9) <= 1000.0
+            histogram.observe(3.0)  # sub-bucket [3, 3.125)
+        histogram.observe(1000.0)  # sub-bucket [992, 1024)
+        # Quantiles read the sub-bucket midpoint, clamped into [min, max].
+        assert histogram.quantile(50.0) == pytest.approx(3.0625)
+        assert histogram.quantile(99.9) == 1000.0
+
+    @pytest.mark.parametrize("value", [1e-300, 1e-9, 0.001, 0.75, 1.0, 3.0, 1e6])
+    def test_sub_buckets_cover_their_values(self, value):
+        index = _bucket_index(value)
+        assert _bucket_lower(index) <= value < _bucket_lower(index + 1)
+        width = _bucket_lower(index + 1) - _bucket_lower(index)
+        assert width / _bucket_lower(index) <= 1.0 / 16
+
+    def test_subnormal_values_clamp_to_their_range(self):
+        histogram = _Histogram()
+        histogram.observe(5e-324)
+        assert histogram.quantile(50.0) == 5e-324
+
+    @pytest.mark.parametrize("distribution", ["lognormal", "uniform"])
+    def test_quantiles_within_five_percent(self, distribution):
+        rng = np.random.default_rng(20261017)
+        if distribution == "lognormal":
+            values = rng.lognormal(mean=-6.0, sigma=1.0, size=20000)
+        else:
+            values = rng.uniform(0.001, 0.002, size=20000)
+        histogram = _Histogram()
+        for value in values:
+            histogram.observe(value)
+        for q in (50.0, 95.0, 99.0):
+            exact = float(np.percentile(values, q))
+            assert histogram.quantile(q) == pytest.approx(exact, rel=0.05)
+
+    def test_merge_is_exact(self):
+        values = np.random.default_rng(3).lognormal(size=500)
+        whole, left, right = _Histogram(), _Histogram(), _Histogram()
+        for index, value in enumerate(values):
+            whole.observe(value)
+            (left if index % 2 else right).observe(value)
+        left.merge_state(right.state())
+        assert left.buckets == whole.buckets
+        assert left.summary() == pytest.approx(whole.summary())
 
     def test_zeros_bucket(self):
         histogram = _Histogram()
@@ -164,14 +225,14 @@ class TestSnapshotAlgebra:
         registry = MetricsRegistry()
         registry.inc("x", 2)
         registry.observe("h", 3.0)
-        baseline = registry.snapshot(sync_hotpath=False)
+        baseline = registry.snapshot()
         registry.inc("x", 5)
         registry.inc("y")
         registry.observe("h", 9.0)
         registry.record_residual(ResidualRecord(
             "s", "e", "w", "op", 10.0, 12.0, 1.2,
         ))
-        final = registry.snapshot(sync_hotpath=False)
+        final = registry.snapshot()
         delta = final.delta_since(baseline)
         assert delta.counters == {"x": 5.0, "y": 1.0}
         assert len(delta.residuals) == 1
@@ -184,9 +245,9 @@ class TestSnapshotAlgebra:
         registry = MetricsRegistry()
         registry.set_gauge("stable", 4)
         registry.set_gauge("moving", 1)
-        baseline = registry.snapshot(sync_hotpath=False)
+        baseline = registry.snapshot()
         registry.set_gauge("moving", 2)
-        delta = registry.snapshot(sync_hotpath=False).delta_since(baseline)
+        delta = registry.snapshot().delta_since(baseline)
         assert delta.gauges == {"moving": 2.0}
 
     def test_merge_adds_counters_and_concatenates_ledgers(self):
@@ -247,7 +308,7 @@ class TestResidualLedger:
             registry.record_residual(ResidualRecord(
                 "s", "e", f"w{index}", "op", 1, 1, 1.0,
             ))
-        snapshot = registry.snapshot(sync_hotpath=False)
+        snapshot = registry.snapshot()
         assert len(snapshot.residuals) == 4
         assert snapshot.residuals_seen == 10
         assert snapshot.residuals_dropped == 6
@@ -324,6 +385,23 @@ class TestSerialization:
             for name, state in snapshot.histograms.items()
         }
 
+    def test_schema_1_keeps_counters_and_drops_octave_histograms(self):
+        decoded = MetricsSnapshot.from_dict({
+            "schema": 1,
+            "counters": {"old.counter": 2},
+            "gauges": {"old.gauge": 1.5},
+            "histograms": {"old.hist": {
+                "buckets": {"1": 3}, "zeros": 0, "count": 3, "sum": 9.0,
+                "min": 2.5, "max": 3.5,
+            }},
+            "residuals_seen": 4,
+        })
+        assert decoded.version == 1
+        assert decoded.counters == {"old.counter": 2.0}
+        assert decoded.gauges == {"old.gauge": 1.5}
+        assert decoded.histograms == {}
+        assert decoded.residuals_seen == 4
+
     def test_future_schema_version_rejected(self):
         payload = MetricsSnapshot().to_dict()
         payload["schema"] = METRICS_SCHEMA_VERSION + 1
@@ -355,13 +433,28 @@ class TestSerialization:
         metric_inc("traced.counter")
         collector = RecordingCollector()
         with using_collector(collector):
-            count("span.counter")
+            with timed_span("traced.span"):
+                metric_inc("span.counter")
         path = tmp_path / "trace.jsonl"
         write_trace(path, collector, metrics=metrics_snapshot())
         data = read_trace(path)
         assert data.metrics is not None
         assert data.metrics.counters["traced.counter"] == 1.0
-        assert data.counters["span.counter"] == 1.0
+        assert data.metrics.counters["span.counter"] == 1.0
+        assert [span.name for span in data.spans] == ["traced.span"]
+        kinds = {json.loads(line)["type"] for line in path.read_text().splitlines()}
+        assert kinds == {"span", "metrics"}
+
+    def test_schema_1_trace_counter_records_are_skipped(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"type": "counter", "name": "c", "value": 2}\n'
+            '{"type": "histogram", "name": "h", "values": [0.5]}\n'
+            '{"type": "metrics", "schema": 1, "counters": {"c": 2}}\n'
+        )
+        data = read_trace(path)
+        assert data.metrics.counters == {"c": 2.0}
+        assert data.metrics.histograms == {}
 
 
 # ----------------------------------------------------------------------
@@ -401,11 +494,12 @@ class TestPrometheus:
 
     def test_histogram_buckets_are_cumulative(self):
         metric_observe("h", 0.0)
-        metric_observe("h", 3.0)   # bucket [2, 4) -> le="4"
-        metric_observe("h", 3.5)
+        metric_observe("h", 3.0)   # sub-bucket [3, 3.125) -> le="3.125"
+        metric_observe("h", 3.5)   # sub-bucket [3.5, 3.625) -> le="3.625"
         exposition = prometheus_exposition(metrics_snapshot())
         assert 'repro_h_bucket{le="0"} 1' in exposition
-        assert 'repro_h_bucket{le="4"} 3' in exposition
+        assert 'repro_h_bucket{le="3.125"} 2' in exposition
+        assert 'repro_h_bucket{le="3.625"} 3' in exposition
         assert 'repro_h_bucket{le="+Inf"} 3' in exposition
         assert "repro_h_count 3" in exposition
 
@@ -615,7 +709,7 @@ class TestStatsCli:
     def _write_snapshot(self, path, counter, value):
         registry = MetricsRegistry()
         registry.inc(counter, value)
-        write_metrics_jsonl(path, registry.snapshot(sync_hotpath=False))
+        write_metrics_jsonl(path, registry.snapshot())
 
     def test_merges_multiple_files(self, tmp_path, capsys):
         from repro.cli import main
@@ -626,6 +720,32 @@ class TestStatsCli:
         assert main(["stats", str(one), str(two)]) == 0
         out = capsys.readouterr().out
         assert "shared.counter = 5" in out
+
+    def test_format_json_lists_each_counter_once(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "trace.jsonl"
+        assert main([
+            "sparsest", "--cases", "B1.1", "--estimators", "mnc",
+            "--scale", "0.02", "--trace", str(path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+
+        def maps(node):
+            if isinstance(node, dict):
+                yield node
+                for child in node.values():
+                    yield from maps(child)
+            elif isinstance(node, list):
+                for child in node:
+                    yield from maps(child)
+
+        counters = payload["metrics"]["counters"]
+        assert any(name.startswith("hotpath.") for name in counters)
+        for name in counters:
+            assert sum(name in node for node in maps(payload)) == 1, name
 
     def test_format_json(self, tmp_path, capsys):
         from repro.cli import main
@@ -659,7 +779,7 @@ class TestStatsCli:
             ))
             registry.inc("m", 1)
             path = tmp_path / f"part{index}.jsonl"
-            write_metrics_jsonl(path, registry.snapshot(sync_hotpath=False))
+            write_metrics_jsonl(path, registry.snapshot())
             paths.append(path)
         data = merge_trace_data([read_trace(p) for p in paths])
         assert data.metrics.counters["m"] == 2.0

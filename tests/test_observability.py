@@ -6,13 +6,14 @@ import math
 import pytest
 
 from repro.observability import (
+    METRICS,
     NullCollector,
     RecordingCollector,
     aggregate_spans,
-    count,
     error_time_table,
     get_collector,
-    observe,
+    metric_inc,
+    metric_observe,
     read_trace,
     set_collector,
     stats_table,
@@ -106,17 +107,18 @@ class TestSpans:
         assert collector.spans[0].attrs == {"flavor": "test"}
 
     def test_counters_and_histograms(self):
+        before = METRICS.snapshot()
         with using_collector(RecordingCollector()) as collector:
-            count("hits")
-            count("hits", 2.0)
-            observe("latency", 0.5)
-            observe("latency", 1.5)
-        assert collector.counters == {"hits": 3.0}
-        assert collector.histograms == {"latency": [0.5, 1.5]}
-
-    def test_counters_are_noops_without_collector(self):
-        count("ignored")
-        observe("ignored", 1.0)  # must not raise
+            metric_inc("hits")
+            metric_inc("hits", 2.0)
+            metric_observe("latency", 0.5)
+            metric_observe("latency", 1.5)
+        delta = METRICS.snapshot().delta_since(before)
+        assert delta.counters == {"hits": 3.0}
+        assert delta.histograms["latency"]["count"] == 2
+        assert delta.histograms["latency"]["sum"] == pytest.approx(2.0)
+        # The registry is the only store: the collector holds no counters.
+        assert collector.snapshot().empty
 
 
 class TestAggregation:
@@ -158,18 +160,16 @@ class TestJsonlRoundTrip:
         with using_collector(collector):
             with trace("estimator.build", estimator="MNC", shape=(10, 20)):
                 pass
-            count("spans.total", 1)
-            observe("build.seconds", 0.25)
         collector.record_outcome({
             "use_case": "B1.1", "estimator": "MNC",
             "relative_error": 1.0, "seconds": 0.001, "status": "ok",
         })
         path = tmp_path / "trace.jsonl"
         records = write_trace(path, collector)
-        assert records == 4
+        assert records == 2
         # Every line is standalone JSON.
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == 4
+        assert len(lines) == 2
         for line in lines:
             json.loads(line)
 
@@ -178,8 +178,6 @@ class TestJsonlRoundTrip:
         assert span.name == "estimator.build"
         assert span.attrs["estimator"] == "MNC"
         assert span.attrs["shape"] == [10, 20]  # tuples become JSON arrays
-        assert data.counters == {"spans.total": 1.0}
-        assert data.histograms == {"build.seconds": [0.25]}
         (outcome,) = data.outcomes
         assert outcome["use_case"] == "B1.1"
         assert outcome["relative_error"] == 1.0

@@ -18,6 +18,7 @@ import pytest
 from repro.catalog import EstimationService, ServiceRequest, SketchStore
 from repro.errors import ReproError
 from repro.estimators.mnc import MNCEstimator
+from repro.estimators.spec import EstimatorSpec
 from repro.ir.interpreter import evaluate
 from repro.ir.nodes import leaf, matmul, transpose
 from repro.matrix.random import random_sparse
@@ -40,7 +41,6 @@ from repro.sparsest.runner import (
     execute,
     execute_outcomes,
     requests_for,
-    run_use_case,
 )
 from repro.sparsest.usecases import get_use_case
 from repro.verify.engine import FuzzEngine
@@ -148,6 +148,7 @@ class TestRunTasks:
             map_values(_fail_on_three, [1, 2, 3], workers=1)
 
     def test_worker_traces_merge_into_parent(self):
+        pool_runs = METRICS.snapshot().counters.get("parallel.pool_runs", 0.0)
         collector = RecordingCollector()
         with using_collector(collector):
             requests = requests_for(["B1.1"], ["mnc", "meta_wc"], scale=0.05)
@@ -156,7 +157,7 @@ class TestRunTasks:
         assert "sparsest.execute" in names
         assert names.count("sparsest.run") == 2  # one per cell, from workers
         assert len(collector.outcomes) == 2
-        assert collector.counters.get("parallel.pool_runs") == 1
+        assert METRICS.snapshot().counters["parallel.pool_runs"] == pool_runs + 1
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +166,7 @@ class TestRunTasks:
 
 class TestMetricMergeBack:
     def _counter(self, name):
-        return METRICS.snapshot(sync_hotpath=False).counters.get(name, 0.0)
+        return METRICS.snapshot().counters.get(name, 0.0)
 
     def test_worker_metric_deltas_merge_in_task_order(self):
         before = self._counter("test.pmerge.counter")
@@ -257,18 +258,18 @@ class TestExecuteDeterminism:
 
     def test_estimator_options_forwarded(self):
         request = EstimationRequest(
-            use_case="B1.1", estimator="mnc",
-            estimator_options=(("use_extensions", False),), scale=0.05,
+            use_case="B1.1",
+            estimator=EstimatorSpec(name="mnc", options={"use_extensions": False}),
+            scale=0.05,
         )
         assert execute([request])[0].ok
 
-    def test_legacy_shim_warns_and_matches_execute(self):
-        case = get_use_case("B1.1")
-        with pytest.warns(DeprecationWarning, match="run_use_case"):
-            old = run_use_case(case, MNCEstimator(), scale=0.05)
-        new = execute_outcomes(
-            [EstimationRequest(use_case="B1.1", estimator="mnc", scale=0.05)]
-        )[0]
+    def test_instance_request_matches_named_request(self):
+        instance = EstimationRequest(
+            use_case=get_use_case("B1.1"), estimator=MNCEstimator(), scale=0.05,
+        )
+        named = EstimationRequest(use_case="B1.1", estimator="mnc", scale=0.05)
+        old, new = execute_outcomes([instance, named])
         assert old.deterministic_key() == new.deterministic_key()
 
 

@@ -13,8 +13,7 @@ from repro.observability import (
     using_collector,
 )
 from repro.opcodes import Op
-from repro.sparsest.runner import run_use_case
-from repro.sparsest.usecases import get_use_case
+from repro.sparsest.runner import EstimationRequest, execute_outcomes
 
 
 @pytest.fixture
@@ -73,7 +72,8 @@ class TestTransparency:
 
     def test_usable_in_sparsest_runner(self):
         wrapped = RecordingEstimator(make_estimator("mnc"))
-        outcome = run_use_case(get_use_case("B1.1"), wrapped, scale=0.02)
+        request = EstimationRequest(use_case="B1.1", estimator=wrapped, scale=0.02)
+        (outcome,) = execute_outcomes([request])
         assert outcome.ok
         assert outcome.estimator == "MNC"
         assert any(call.method == "build" for call in wrapped.calls)

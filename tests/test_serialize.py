@@ -116,33 +116,25 @@ class TestRunRepeated:
         monkeypatch.setenv("REPRO_MNC_CACHE", str(tmp_path))
 
     def test_aggregates_over_seeds(self):
-        from repro.estimators import make_estimator
-        from repro.sparsest import get_use_case
-        from repro.sparsest.runner import run_repeated
+        from repro.sparsest import execute_outcomes, requests_for
 
-        outcome = run_repeated(
-            get_use_case("B1.2"), make_estimator("mnc"),
-            repetitions=3, scale=0.02,
+        (outcome,) = execute_outcomes(
+            requests_for(["B1.2"], ["mnc"], repetitions=3, scale=0.02)
         )
         assert outcome.ok
         assert outcome.relative_error == pytest.approx(1.0)
         assert outcome.seconds > 0
 
     def test_unsupported_short_circuits(self):
-        from repro.estimators import make_estimator
-        from repro.sparsest import get_use_case
-        from repro.sparsest.runner import run_repeated
+        from repro.sparsest import execute_outcomes, requests_for
 
-        outcome = run_repeated(
-            get_use_case("B2.5"), make_estimator("layered_graph"),
-            repetitions=3, scale=0.02,
+        (outcome,) = execute_outcomes(
+            requests_for(["B2.5"], ["layered_graph"], repetitions=3, scale=0.02)
         )
         assert outcome.status == "unsupported"
 
     def test_invalid_repetitions(self):
-        from repro.estimators import make_estimator
-        from repro.sparsest import get_use_case
-        from repro.sparsest.runner import run_repeated
+        from repro.sparsest import requests_for
 
         with pytest.raises(ValueError):
-            run_repeated(get_use_case("B1.2"), make_estimator("mnc"), repetitions=0)
+            requests_for(["B1.2"], ["mnc"], repetitions=0)

@@ -99,12 +99,11 @@ class TestSummaryTable:
 class TestEndToEnd:
     def test_summary_over_real_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_MNC_CACHE", str(tmp_path))
-        from repro.estimators import make_estimator
-        from repro.sparsest import get_use_case, run_estimators
+        from repro.sparsest import execute_outcomes, requests_for
 
-        cases = [get_use_case("B1.2"), get_use_case("B1.4")]
-        lineup = [make_estimator("mnc"), make_estimator("meta_ac")]
-        outcomes = run_estimators(cases, lineup, scale=0.02)
+        outcomes = execute_outcomes(
+            requests_for(["B1.2", "B1.4"], ["mnc", "meta_ac"], scale=0.02)
+        )
         summaries = {s.estimator: s for s in summarize(outcomes)}
         assert summaries["MNC"].exact == 2
         assert summaries["MNC"].geometric_mean_error <= (

@@ -15,8 +15,8 @@ from repro.sparsest import all_use_cases, get_use_case, use_case_ids
 from repro.sparsest.report import format_error, outcomes_table, simple_table
 from repro.sparsest.runner import (
     EstimateOutcome,
-    run_estimators,
-    run_use_case,
+    execute_outcomes,
+    requests_for,
     supports_use_case,
     true_nnz_of,
 )
@@ -89,29 +89,29 @@ class TestUseCaseSemantics:
 
 class TestRunner:
     def test_mnc_exact_on_b11(self):
-        outcome = run_use_case(get_use_case("B1.1"), make_estimator("mnc"), scale=SCALE)
+        (outcome,) = execute_outcomes(requests_for(["B1.1"], ["mnc"], scale=SCALE))
         assert outcome.ok
         assert outcome.relative_error == pytest.approx(1.0)
 
     def test_unsupported_is_reported(self):
-        outcome = run_use_case(
-            get_use_case("B2.5"), make_estimator("layered_graph"), scale=SCALE
+        (outcome,) = execute_outcomes(
+            requests_for(["B2.5"], ["layered_graph"], scale=SCALE)
         )
         assert outcome.status == "unsupported"
         assert not outcome.ok
         assert math.isnan(outcome.estimated_nnz)
 
     def test_bitset_oom_detection(self):
-        outcome = run_use_case(
-            get_use_case("B2.3"), make_estimator("bitset"), scale=SCALE,
-            memory_budget_bytes=1024,
-        )
+        (outcome,) = execute_outcomes(requests_for(
+            ["B2.3"], ["bitset"], scale=SCALE, memory_budget_bytes=1024,
+        ))
         assert outcome.status == "oom"
 
     def test_run_estimators_cartesian(self):
         cases = [get_use_case("B1.2"), get_use_case("B1.3")]
-        estimators = [make_estimator("meta_ac"), make_estimator("mnc")]
-        outcomes = run_estimators(cases, estimators, scale=SCALE)
+        outcomes = execute_outcomes(
+            requests_for(cases, ["meta_ac", "mnc"], scale=SCALE)
+        )
         assert len(outcomes) == 4
         assert {o.use_case for o in outcomes} == {"B1.2", "B1.3"}
 
@@ -121,7 +121,7 @@ class TestRunner:
         assert not supports_use_case(lgraph, get_use_case("B3.5").build(scale=SCALE))
 
     def test_timing_recorded(self):
-        outcome = run_use_case(get_use_case("B1.2"), make_estimator("mnc"), scale=SCALE)
+        (outcome,) = execute_outcomes(requests_for(["B1.2"], ["mnc"], scale=SCALE))
         assert outcome.seconds >= 0
 
 

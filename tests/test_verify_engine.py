@@ -96,18 +96,18 @@ def test_no_shrink_mode_reports_original_case():
 
 
 def test_engine_counts_flow_through_observability():
-    from repro.observability import RecordingCollector, using_collector
+    from repro.observability import METRICS
 
-    collector = RecordingCollector()
-    with using_collector(collector):
-        FuzzEngine(
-            specs=[EstimatorSpec(name="exact")],
-            contracts=[get_contract("bounds")],
-            generators=["uniform"],
-            budget=2,
-        ).run()
-    assert collector.counters.get("verify.cases", 0) > 0
-    assert "verify.violations" in collector.counters
+    before = METRICS.snapshot().counters
+    FuzzEngine(
+        specs=[EstimatorSpec(name="exact")],
+        contracts=[get_contract("bounds")],
+        generators=["uniform"],
+        budget=2,
+    ).run()
+    after = METRICS.snapshot().counters
+    assert after.get("verify.cases", 0) > before.get("verify.cases", 0)
+    assert "verify.violations" in after
 
 
 @pytest.mark.fuzz
