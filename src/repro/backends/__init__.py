@@ -1,12 +1,12 @@
 """Multi-backend kernel dispatch for the estimation hot paths.
 
-``repro.backends`` hosts the compiled-kernel backend layer: the
-:class:`~repro.backends.base.Backend` interface, the always-available
-vectorized numpy reference, a numba-jitted backend, and a plain-Python
-debug backend that runs the numba kernel definitions under the
-interpreter. Selection is driven by ``REPRO_BACKEND`` (see
-:mod:`repro.backends.registry`); all backends are bit-identical by
-construction.
+``repro.backends`` hosts the kernel backend layer: the always-available
+vectorized numpy backend, which also defines the interface
+(:class:`~repro.backends.numpy_backend.NumpyBackend`), and a
+numba-jitted backend that compiles the exact kernels. Selection is
+driven by ``REPRO_BACKEND`` (see :mod:`repro.backends.registry`); the
+backends are byte-identical on one machine — exact arithmetic in the
+exact kernels, and the same numpy code for the density-map term.
 
 Importing this package stays light: backend modules (and numba itself)
 load lazily, on first activation.
@@ -14,11 +14,11 @@ load lazily, on first activation.
 
 from __future__ import annotations
 
-from repro.backends.base import Backend, BackendUnavailable
 from repro.backends.registry import (
     AUTO_ORDER,
     BACKEND_ENV,
     REFERENCE_BACKEND,
+    BackendUnavailable,
     available_backends,
     get_backend,
     numba_importable,
@@ -32,7 +32,6 @@ from repro.backends.registry import (
 __all__ = [
     "AUTO_ORDER",
     "BACKEND_ENV",
-    "Backend",
     "BackendUnavailable",
     "REFERENCE_BACKEND",
     "available_backends",
@@ -46,24 +45,17 @@ __all__ = [
 ]
 
 
-def _numpy_factory() -> Backend:
+def _numpy_factory():
     from repro.backends.numpy_backend import NumpyBackend
 
     return NumpyBackend()
 
 
-def _python_factory() -> Backend:
-    from repro.backends.jit_backend import KernelBackend
-
-    return KernelBackend()
-
-
-def _numba_factory() -> Backend:
+def _numba_factory():
     from repro.backends.jit_backend import NumbaBackend
 
     return NumbaBackend()
 
 
 register_backend("numpy", _numpy_factory)
-register_backend("python", _python_factory)
 register_backend("numba", _numba_factory, probe=numba_importable)

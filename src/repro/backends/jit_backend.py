@@ -1,12 +1,18 @@
-"""Kernel-driven backends: numba-compiled and plain-Python debug.
+"""Kernel backends: the exact kernels of ``repro.backends.kernels``.
 
-Both backends execute the exact same kernel *definitions*
-(``repro.backends.kernels``); the only difference is the wrapper —
-``numba.njit(cache=True, nogil=True)`` for the compiled backend, the
-bare interpreter for the ``python`` debug backend. The debug backend
-exists so the kernel code paths (and their bit-identity against the
-numpy reference) stay testable on machines without numba, including the
-no-numba CI leg; it is never auto-selected.
+:class:`KernelBackend` subclasses the numpy backend and replaces its
+eight exact kernels (dot, subtract, the three rounding kernels, the two
+popcounts and the block OR) with the loop definitions of
+``repro.backends.kernels``, optionally wrapped by a jit. It inherits the
+density-map term, so every backend runs the same numpy code there.
+
+:class:`NumbaBackend` wraps the kernels with
+``numba.njit(cache=True, nogil=True)``; it is the registered ``numba``
+backend. A directly constructed ``KernelBackend()`` runs the same
+definitions under the interpreter: no name selects it, but tests and the
+``backends_agree`` contract pass it to
+:func:`repro.backends.use_backend` to check the kernels against numpy on
+machines without numba.
 
 ``nogil=True`` matters for the chain DP: ``optimize_chain_sparse``
 evaluates one span's cells from a thread pool, and compiled kernels
@@ -20,21 +26,20 @@ path and records it as ``backend.jit_compile_seconds``.
 from __future__ import annotations
 
 from repro.backends import kernels as _k
-from repro.backends.base import Backend, BackendUnavailable
+from repro.backends.numpy_backend import NumpyBackend
+from repro.backends.registry import BackendUnavailable
 
 
-class KernelBackend(Backend):
-    """Runs the shared kernel definitions, optionally through a jit."""
+class KernelBackend(NumpyBackend):
+    """Runs the shared exact-kernel definitions, optionally through a jit."""
 
-    name = "python"
-    compiled = False
+    name = "kernels"
 
     def __init__(self, jit=None) -> None:
+        super().__init__()
         wrap = (lambda fn: fn) if jit is None else jit
         self._dot = wrap(_k.dot_f64)
         self._subtract = wrap(_k.subtract_f64)
-        self._tree_sum = wrap(_k.tree_sum_f64)
-        self._dm = wrap(_k.dm_collision_log1p)
         self._prob_round = wrap(_k.prob_round_into)
         self._scale_round = wrap(_k.scale_round_into)
         self._reconcile = wrap(_k.reconcile_bulk)
@@ -47,12 +52,6 @@ class KernelBackend(Backend):
 
     def subtract(self, a, b, out):
         self._subtract(a, b, out)
-
-    def dm_collision_log1p(self, v_a, v_b, neg_inv_cells, out):
-        return bool(self._dm(v_a, v_b, neg_inv_cells, out))
-
-    def tree_sum(self, values):
-        return float(self._tree_sum(values))
 
     def prob_round_into(self, values, draws, maximum, out):
         self._prob_round(values, draws, maximum, out)

@@ -1,52 +1,24 @@
-"""Pure-array kernel definitions shared by the compiled backends.
+"""Exact-kernel definitions shared by the kernel backends.
 
 Every function here is written in the numba-compatible subset of Python
 (flat loops, scalar math, basic indexing, ``np.zeros``) and is entirely
 self-contained — kernels never call each other, so each one can be
 independently wrapped with ``numba.njit(cache=True)`` (the ``numba``
-backend) or run as-is under the interpreter (the ``python`` debug
-backend, which keeps the definitions testable on machines without
-numba).
+backend) or run as-is under the interpreter (a directly constructed
+``KernelBackend()``, which keeps the definitions testable on machines
+without numba).
 
-Bit-identity with the vectorized numpy reference backend holds by
-construction (see ``repro.backends.base``): integer-valued arithmetic
-is exact, element-wise float steps mirror the reference op-for-op, and
-the one order-sensitive reduction (:func:`tree_sum_f64`) follows the
-same explicitly specified halving tree as the reference.
-
-The density-map kernel embeds a shared ``log1p`` formulation (the
-classic fdlibm/Sun algorithm: frexp range reduction to
-``[sqrt(1/2), sqrt(2))``, an atanh-series polynomial, and a rounding
-correction term) instead of deferring to the platform's ``log1p``:
-numpy's SIMD transcendentals and libm scalars disagree in the last
-ulp, so a bit-identical contract across backends requires evaluating
-the *same* elementary-operation sequence everywhere. The numpy
-reference backend evaluates the identical sequence vectorized
-(``repro.backends.numpy_backend._log1p_into``); keep the two in sync
-— ``tests/test_backends.py`` cross-checks them element-for-element.
+Byte-identity with the numpy backend holds through exact arithmetic:
+integer-valued float64 and int64 sums are exact, bitwise ORs are exact,
+and the rounding kernels' element-wise float steps mirror the numpy
+sequence op for op. The density-map term has no kernel here: every
+backend runs the numpy implementation of it (see
+``repro.backends.numpy_backend``).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-# fdlibm log constants (Sun Microsystems, public domain reference
-# implementation of the C math library).
-_LN2_HI = 6.93147180369123816490e-01
-_LN2_LO = 1.90821492927058770002e-10
-_LG1 = 6.666666666666735130e-01
-_LG2 = 3.999999999940941908e-01
-_LG3 = 2.857142874366239149e-01
-_LG4 = 2.222219843214978396e-01
-_LG5 = 1.818357216161805012e-01
-_LG6 = 1.531383769920937332e-01
-_LG7 = 1.479819860511658591e-01
-#: Below this magnitude ``log1p(x)`` is ``x - x*x/2`` to double precision.
-_LOG1P_TINY = 2.0 ** -29
-#: Mantissa threshold for the ``[sqrt(1/2), sqrt(2))`` range reduction.
-_SQRT_HALF = 0.7071067811865476
 
 
 def dot_f64(a, b):
@@ -63,97 +35,11 @@ def subtract_f64(a, b, out):
         out[i] = a[i] - b[i]
 
 
-def tree_sum_f64(values):
-    """Halving-tree float64 sum; destroys *values*.
-
-    Folds the top half onto the bottom half until one element remains:
-    with ``m`` live elements and ``k = m // 2``, element ``i`` absorbs
-    element ``(m - k) + i``; an odd middle element is carried down
-    untouched. The numpy reference backend performs the identical folds
-    with vectorized adds, so both backends round the same operation
-    sequence.
-    """
-    n = values.shape[0]
-    if n == 0:
-        return 0.0
-    m = n
-    while m > 1:
-        k = m // 2
-        hi = m - k
-        for i in range(k):
-            values[i] = values[i] + values[hi + i]
-        m = hi
-    return values[0]
-
-
-def dm_collision_log1p(v_a, v_b, neg_inv_cells, out):
-    """Density-map collision probabilities in log space (fused kernel).
-
-    Writes ``out[i] = log1p((v_a[i] * v_b[i]) * neg_inv_cells)``; returns
-    True (with ``out`` unspecified) when any slice saturates at
-    probability >= 1, in which case the caller's estimate collapses to
-    ``cells``. The log1p evaluation mirrors, op for op, the vectorized
-    sequence of ``numpy_backend._log1p_into``.
-    """
-    n = v_a.shape[0]
-    for i in range(n):
-        c = (v_a[i] * v_b[i]) * neg_inv_cells
-        if c <= -1.0:
-            return True
-        out[i] = c
-    for i in range(n):
-        x = out[i]
-        if abs(x) < _LOG1P_TINY:
-            t = x * x
-            t = t * 0.5
-            out[i] = x - t
-        else:
-            u = 1.0 + x
-            cc = u - 1.0
-            cc = x - cc  # rounding error of 1+x, folded back in below
-            f, e = math.frexp(u)
-            if f < _SQRT_HALF:
-                f = f + f
-                e = e - 1
-            k = float(e)
-            big_f = f - 1.0
-            hfsq = big_f * big_f
-            hfsq = hfsq * 0.5
-            denom = big_f + 2.0
-            s = big_f / denom
-            z = s * s
-            w = z * z
-            t1 = w * _LG6
-            t1 = t1 + _LG4
-            t1 = t1 * w
-            t1 = t1 + _LG2
-            t1 = t1 * w
-            t2 = w * _LG7
-            t2 = t2 + _LG5
-            t2 = t2 * w
-            t2 = t2 + _LG3
-            t2 = t2 * w
-            t2 = t2 + _LG1
-            t2 = t2 * z
-            r = t2 + t1
-            inner = hfsq + r
-            inner = s * inner
-            corr = cc / u
-            klo = k * _LN2_LO
-            corr = klo + corr
-            inner = inner + corr
-            res = hfsq - inner
-            res = res - big_f
-            khi = k * _LN2_HI
-            out[i] = khi - res
-    return False
-
-
 def prob_round_into(values, draws, maximum, out):
     """Probabilistic rounding with threaded-in uniform draws.
 
     ``out[i] = min(floor(max(values[i], 0)) + (draws[i] < frac), maximum)``
-    with ``maximum < 0`` meaning "no cap". Mirrors the reference
+    with ``maximum < 0`` meaning "no cap". Mirrors the numpy backend's
     sequence: clamp, floor, fractional part, compare, truncating cast.
     """
     for i in range(values.shape[0]):
@@ -264,7 +150,7 @@ def bitset_block_or(block, b_bits, out, start):
     """Boolean matmul of an unpacked row block against packed B rows.
 
     ``out[start + r] |= b_bits[k]`` for every set ``block[r, k]`` —
-    bitwise OR is exact, so any evaluation order matches the reference.
+    bitwise OR is exact, so any evaluation order matches numpy.
     """
     rows = block.shape[0]
     n = block.shape[1]
@@ -274,18 +160,3 @@ def bitset_block_or(block, b_bits, out, start):
             if block[r, k]:
                 for j in range(words):
                     out[start + r, j] |= b_bits[k, j]
-
-
-#: Kernel table used by the backend wrappers and the warmup probe.
-ALL_KERNELS = (
-    dot_f64,
-    subtract_f64,
-    tree_sum_f64,
-    dm_collision_log1p,
-    prob_round_into,
-    scale_round_into,
-    reconcile_bulk,
-    popcount_sum_u8,
-    or_popcount_u8,
-    bitset_block_or,
-)

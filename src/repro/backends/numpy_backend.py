@@ -1,63 +1,57 @@
-"""Always-available vectorized numpy reference backend.
+"""The numpy kernel backend, which is also the backend interface.
 
-This is the ground truth the compiled backends are checked against: the
-primitives reproduce the pre-dispatch hot-path op sequences (multiply
-into scratch, clamp/floor/compare rounding, binary-searched bulk
-reconciliation, popcount reductions) with one deliberate exception —
-the density map's ``log1p`` and log-space sum follow the explicitly
-specified shared formulations of ``repro.backends.kernels`` instead of
-``np.log1p``/``np.sum``, whose last-ulp behavior and accumulation order
-vary across numpy builds. That is what makes the bit-identity contract
-between backends machine-independent (docs/PERFORMANCE.md "Backends").
+A backend implements the proven-hot inner loops of the MNC reproduction
+— Algorithm 1's dot products and density-map fallback, Eq 11
+scale-and-round, ``_reconcile_totals``' bulk rounding, and the bitset
+popcount kernels — as pure array-in/array-out primitives. The
+surrounding driver code (shape checks, sketch objects, RNG draws,
+tracing guards) lives once in ``repro.core`` and calls whichever backend
+:func:`repro.backends.get_backend` resolved.
 
-All intermediates live in per-thread scratch buffers owned by this
-backend, keeping the reference path allocation-free like the kernels it
-replaced.
+:class:`NumpyBackend` is both the always-available vectorized backend
+and the interface: the kernel backends of
+:mod:`repro.backends.jit_backend` subclass it and replace the exact
+kernels only. Every backend produces **byte-identical** results for
+identical inputs on one machine (docs/PERFORMANCE.md "Backends"):
+
+- integer-valued float64 arithmetic (dot products, histogram totals,
+  capped sums) is exact below 2**53, so summation order is free;
+- the rounding kernels' element-wise steps (multiply, clamp, floor,
+  compare) are IEEE-754 correctly rounded in every implementation;
+- the density-map term (:meth:`NumpyBackend.dm_collision_log1p` and
+  :meth:`NumpyBackend.tree_sum`) is not reimplemented by any backend:
+  every backend runs this class's ``np.log1p``/``np.sum`` code, so the
+  backends agree because they execute the same numpy build. Between
+  machines with different numpy builds that term may differ in the
+  last ulp, like the other log-space code in the package;
+- randomness is drawn from the caller's ``numpy.random.Generator`` in
+  driver code and threaded into the kernels, never re-derived inside.
+
+All array arguments are C-contiguous with the documented dtypes;
+drivers guarantee this (count vectors come from the sketches' cached
+views, scratch comes from :class:`repro.core.scratch.ScratchBuffer`).
+Output arrays are owned by the caller: a backend must never retain a
+reference to (or return a view of) any buffer it was handed. The
+rounding temporaries live in per-thread scratch buffers owned by the
+backend, keeping the path allocation-free.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.base import Backend
-from repro.backends.kernels import (
-    _LG1,
-    _LG2,
-    _LG3,
-    _LG4,
-    _LG5,
-    _LG6,
-    _LG7,
-    _LN2_HI,
-    _LN2_LO,
-    _LOG1P_TINY,
-    _SQRT_HALF,
-)
 from repro.core.scratch import ScratchBuffer
 
 
-class NumpyBackend(Backend):
-    """Vectorized reference implementation of the kernel interface."""
+class NumpyBackend:
+    """Vectorized kernel backend (see module docstring for the contract)."""
 
+    #: Registry name (``"numpy"``, ``"numba"``).
     name = "numpy"
+    #: True when the kernels run as compiled machine code.
     compiled = False
-    is_reference = True
 
     def __init__(self) -> None:
-        # log1p temporaries (one buffer per role; see _log1p_into).
-        self._u = ScratchBuffer(np.float64)
-        self._c = ScratchBuffer(np.float64)
-        self._f = ScratchBuffer(np.float64)
-        self._e = ScratchBuffer(np.int32)
-        self._k = ScratchBuffer(np.float64)
-        self._hfsq = ScratchBuffer(np.float64)
-        self._s = ScratchBuffer(np.float64)
-        self._z = ScratchBuffer(np.float64)
-        self._w = ScratchBuffer(np.float64)
-        self._t1 = ScratchBuffer(np.float64)
-        self._t2 = ScratchBuffer(np.float64)
-        self._tiny = ScratchBuffer(np.float64)
-        self._cond = ScratchBuffer(np.bool_)
         # probabilistic-rounding temporaries.
         self._round_clip = ScratchBuffer(np.float64)
         self._round_floor = ScratchBuffer(np.float64)
@@ -67,11 +61,16 @@ class NumpyBackend(Backend):
     # -- Algorithm 1 ----------------------------------------------------
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        # BLAS accumulation order is machine-specific but irrelevant:
-        # count dot products are exact below 2**53.
+        """Dot product of two integer-valued float64 count vectors.
+
+        Exact (hence order-independent) because every partial sum of
+        products of counts stays below 2**53; BLAS accumulation order is
+        machine-specific but irrelevant.
+        """
         return float(a @ b)
 
     def subtract(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        """``out[i] = a[i] - b[i]`` (float64; exact on integer-valued input)."""
         np.subtract(a, b, out=out)
 
     def dm_collision_log1p(
@@ -81,93 +80,22 @@ class NumpyBackend(Backend):
         neg_inv_cells: float,
         out: np.ndarray,
     ) -> bool:
+        """Density-map collision probabilities, in log space.
+
+        Writes ``out[i] = log1p((v_a[i] * v_b[i]) * neg_inv_cells)`` and
+        returns True when any slice saturates (``<= -1``), in which case
+        ``out`` is unspecified and the caller returns ``cells``.
+        """
         np.multiply(v_a, v_b, out=out)
         np.multiply(out, neg_inv_cells, out=out)
         if out.size and out.min() <= -1.0:
             return True
-        self._log1p_into(out)
+        np.log1p(out, out=out)
         return False
 
     def tree_sum(self, values: np.ndarray) -> float:
-        m = values.shape[0]
-        if m == 0:
-            return 0.0
-        while m > 1:
-            k = m // 2
-            hi = m - k
-            # hi >= k always, so the two slices never overlap.
-            np.add(values[:k], values[hi:m], out=values[:k])
-            m = hi
-        return float(values[0])
-
-    def _log1p_into(self, x: np.ndarray) -> None:
-        """In-place ``log1p`` over ``(-1, 0]`` values.
-
-        Vectorized mirror of the scalar sequence embedded in
-        ``kernels.dm_collision_log1p`` — every numbered step below
-        performs the same correctly-rounded elementary operation, so the
-        selected results agree bit-for-bit. Keep the two in sync.
-        """
-        n = x.shape[0]
-        if n == 0:
-            return
-        u = self._u.get(n)
-        c = self._c.get(n)
-        f = self._f.get(n)
-        e = self._e.get(n)
-        k = self._k.get(n)
-        hfsq = self._hfsq.get(n)
-        s = self._s.get(n)
-        z = self._z.get(n)
-        w = self._w.get(n)
-        t1 = self._t1.get(n)
-        t2 = self._t2.get(n)
-        tiny = self._tiny.get(n)
-        cond = self._cond.get(n)
-        np.add(x, 1.0, out=u)                     # u = 1 + x
-        np.subtract(u, 1.0, out=c)
-        np.subtract(x, c, out=c)                  # c = x - (u - 1)
-        np.frexp(u, f, e)                         # u = f * 2**e, f in [1/2, 1)
-        np.less(f, _SQRT_HALF, out=cond)          # reduce f to [sqrt(1/2), sqrt(2))
-        np.add(f, f, out=f, where=cond)
-        np.subtract(e, cond, out=e)
-        np.add(e, 0.0, out=k)                     # k = float(e)
-        np.subtract(f, 1.0, out=f)                # f now holds F = f - 1
-        np.multiply(f, f, out=hfsq)
-        np.multiply(hfsq, 0.5, out=hfsq)          # hfsq = F*F * 0.5
-        np.add(f, 2.0, out=s)
-        np.divide(f, s, out=s)                    # s = F / (2 + F)
-        np.multiply(s, s, out=z)
-        np.multiply(z, z, out=w)
-        np.multiply(w, _LG6, out=t1)              # t1 = w*(Lg2 + w*(Lg4 + w*Lg6))
-        np.add(t1, _LG4, out=t1)
-        np.multiply(t1, w, out=t1)
-        np.add(t1, _LG2, out=t1)
-        np.multiply(t1, w, out=t1)
-        np.multiply(w, _LG7, out=t2)              # t2 = z*(Lg1 + w*(Lg3 + ...))
-        np.add(t2, _LG5, out=t2)
-        np.multiply(t2, w, out=t2)
-        np.add(t2, _LG3, out=t2)
-        np.multiply(t2, w, out=t2)
-        np.add(t2, _LG1, out=t2)
-        np.multiply(t2, z, out=t2)
-        np.add(t2, t1, out=t1)                    # r = t2 + t1
-        np.add(hfsq, t1, out=t1)                  # inner = hfsq + r
-        np.multiply(s, t1, out=t1)                # inner = s * inner
-        np.divide(c, u, out=c)                    # corr = c / u
-        np.multiply(k, _LN2_LO, out=u)            # u free: klo = k * ln2_lo
-        np.add(u, c, out=c)                       # corr = klo + corr
-        np.add(t1, c, out=t1)                     # inner = inner + corr
-        np.subtract(hfsq, t1, out=t1)             # res = hfsq - inner
-        np.subtract(t1, f, out=t1)                # res = res - F
-        np.multiply(k, _LN2_HI, out=k)            # khi = k * ln2_hi
-        np.multiply(x, x, out=tiny)               # small-|x| branch: x - x*x/2
-        np.multiply(tiny, 0.5, out=tiny)
-        np.subtract(x, tiny, out=tiny)
-        np.absolute(x, out=u)
-        np.less(u, _LOG1P_TINY, out=cond)
-        np.subtract(k, t1, out=x)                 # log1p = khi - res
-        np.copyto(x, tiny, where=cond)
+        """Float64 sum of the density map's log-space terms (``np.sum``)."""
+        return float(np.sum(values))
 
     # -- probabilistic rounding / Eq 11 scaling -------------------------
 
@@ -178,6 +106,12 @@ class NumpyBackend(Backend):
         maximum: int,
         out: np.ndarray,
     ) -> None:
+        """``out[i] = min(floor(max(values[i], 0)) + (draws[i] < frac), maximum)``.
+
+        ``draws`` are the caller's uniform [0, 1) variates (one per entry,
+        already consumed from the caller's generator); ``maximum < 0``
+        disables the cap; ``out`` is int64.
+        """
         n = values.shape[0]
         clipped = self._round_clip.get(n)
         np.maximum(values, 0.0, out=clipped)
@@ -199,11 +133,25 @@ class NumpyBackend(Backend):
         maximum: int,
         out: np.ndarray,
     ) -> None:
+        """Fused Eq 11 scale + probabilistic round of an int64 histogram.
+
+        Equivalent to ``prob_round_into(histogram * factor, ...)``; the
+        fusion saves the intermediate array without changing a bit
+        (``int64 -> float64`` conversion is exact for counts).
+        """
         scaled = self._scale.get(histogram.shape[0])
         np.multiply(histogram, factor, out=scaled)
         self.prob_round_into(scaled, draws, maximum, out)
 
     def reconcile_bulk(self, target: np.ndarray, remaining: int) -> int:
+        """Bulk phase of ``_reconcile_totals`` (int64, exact arithmetic).
+
+        Binary-searches the largest full-round count ``r`` with
+        ``sum(min(target, r)) <= remaining`` over the positive entries,
+        applies ``target = max(target - r, 0)`` in place, and returns the
+        units still to remove (handled by the driver's random partial
+        round).
+        """
         values = target[target > 0]
         lo, hi = 0, int(values.max()) if values.size else 0
         while lo < hi:
@@ -221,9 +169,11 @@ class NumpyBackend(Backend):
     # -- bitset popcount kernels ----------------------------------------
 
     def popcount_sum(self, bits: np.ndarray) -> int:
+        """Total set bits of a packed uint8 bit matrix."""
         return int(np.bitwise_count(bits).sum())
 
     def or_popcount(self, bits: np.ndarray) -> int:
+        """Set bits of the OR of all rows of a packed uint8 bit matrix."""
         if bits.shape[0] == 0:
             return 0
         merged = np.bitwise_or.reduce(bits, axis=0)
@@ -236,8 +186,45 @@ class NumpyBackend(Backend):
         out: np.ndarray,
         start: int,
     ) -> None:
+        """Boolean matmul of an unpacked row block against packed B.
+
+        For each row ``r`` of the boolean ``block``,
+        ``out[start + r] |= b_bits[k]`` for every ``k`` with
+        ``block[r, k]`` set.
+        """
         for offset in range(block.shape[0]):
             k_indices = np.flatnonzero(block[offset])
             if k_indices.size == 0:
                 continue
             out[start + offset] = np.bitwise_or.reduce(b_bits[k_indices], axis=0)
+
+    # -- lifecycle ------------------------------------------------------
+
+    def warmup(self) -> None:
+        """Touch every primitive once on tiny inputs.
+
+        For compiled backends this forces JIT compilation (or loads the
+        on-disk cache) so first-request latency and benchmark timings
+        exclude compile time.
+        """
+        v = np.array([3.0, 0.0, 1.0, 2.0], dtype=np.float64)
+        w = np.array([1.0, 2.0, 0.0, 1.0], dtype=np.float64)
+        scratch = np.empty(4, dtype=np.float64)
+        self.dot(v, w)
+        self.subtract(v, w, scratch)
+        self.dm_collision_log1p(v, w, -0.125, scratch)
+        self.tree_sum(scratch)
+        draws = np.array([0.1, 0.9, 0.5, 0.2], dtype=np.float64)
+        out_i = np.empty(4, dtype=np.int64)
+        self.prob_round_into(v, draws, -1, out_i)
+        hist = np.array([4, 0, 2, 1], dtype=np.int64)
+        self.scale_round_into(hist, 0.5, draws, 3, out_i)
+        self.reconcile_bulk(out_i, 1)
+        bits = np.array([[3, 1], [0, 255]], dtype=np.uint8)
+        self.popcount_sum(bits)
+        self.or_popcount(bits)
+        block = np.array([[True, False]], dtype=np.bool_)
+        self.bitset_block_or(block, bits, np.zeros((1, 2), dtype=np.uint8), 0)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<{type(self).__name__} name={self.name!r} compiled={self.compiled}>"

@@ -2,10 +2,10 @@
 
 Selection rules (docs/PERFORMANCE.md "Backends"):
 
-- ``REPRO_BACKEND=numpy|numba|python`` picks a backend explicitly (the
-  CLI ``--backend`` flag sets the same variable so worker processes
-  inherit it);
-- unset or ``auto``: numba when importable, else the numpy reference;
+- ``REPRO_BACKEND=numpy|numba`` picks a backend explicitly (the CLI
+  ``--backend`` flag sets the same variable so worker processes inherit
+  it);
+- unset or ``auto``: numba when importable, else numpy;
 - a requested backend that is registered but fails to come up (for
   example numba's import breaking mid-selection) falls back to numpy
   with a one-time warning and a ``backend.fallbacks`` counter bump —
@@ -17,7 +17,9 @@ The resolved backend is cached process-wide; ``set_backend(None)``
 re-resolves from the environment (worker processes therefore pick their
 backend up from the inherited ``REPRO_BACKEND``). Backend *instances*
 are also cached per name, so switching back and forth (benchmarks, the
-equivalence suite) never recompiles.
+equivalence suite) never recompiles. :func:`use_backend` also takes a
+backend instance, which is how the uncompiled kernels
+(``KernelBackend()``) are run: no name selects them.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ import os
 import threading
 import warnings
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Union
 
-from repro.backends.base import Backend, BackendUnavailable
 from repro.observability.metrics import metric_inc, metric_set
 from repro.observability.trace import timed_span
+
+if TYPE_CHECKING:
+    from repro.backends.numpy_backend import NumpyBackend
 
 #: Environment variable driving backend selection.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -39,20 +43,24 @@ BACKEND_ENV = "REPRO_BACKEND"
 #: The always-available reference backend every fallback lands on.
 REFERENCE_BACKEND = "numpy"
 
-#: Auto-detection preference order (``python`` is debug-only, never auto).
+#: Auto-detection preference order.
 AUTO_ORDER = ("numba", "numpy")
 
-_FACTORIES: Dict[str, Callable[[], Backend]] = {}
+_FACTORIES: Dict[str, Callable[[], NumpyBackend]] = {}
 _PROBES: Dict[str, Callable[[], bool]] = {}
-_INSTANCES: Dict[str, Backend] = {}
-_ACTIVE: Optional[Backend] = None
+_INSTANCES: Dict[str, NumpyBackend] = {}
+_ACTIVE: Optional[NumpyBackend] = None
 _WARNED: set = set()
 _LOCK = threading.Lock()
 
 
+class BackendUnavailable(RuntimeError):
+    """Raised by a backend factory whose runtime requirements are missing."""
+
+
 def register_backend(
     name: str,
-    factory: Callable[[], Backend],
+    factory: Callable[[], NumpyBackend],
     probe: Optional[Callable[[], bool]] = None,
 ) -> None:
     """Register a backend *factory* under *name*.
@@ -95,7 +103,7 @@ def _warn_once(key: str, message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def _instantiate(name: str) -> Backend:
+def _instantiate(name: str) -> NumpyBackend:
     backend = _INSTANCES.get(name)
     if backend is None:
         backend = _FACTORIES[name]()
@@ -103,7 +111,7 @@ def _instantiate(name: str) -> Backend:
     return backend
 
 
-def _activate(name: str, from_env: bool) -> Backend:
+def _activate(name: str, from_env: bool) -> NumpyBackend:
     global _ACTIVE
     with _LOCK:
         if name not in _FACTORIES:
@@ -136,7 +144,7 @@ def _activate(name: str, from_env: bool) -> Backend:
         return backend
 
 
-def get_backend() -> Backend:
+def get_backend() -> NumpyBackend:
     """The process-wide active backend (resolving it on first use)."""
     backend = _ACTIVE
     if backend is not None:
@@ -144,7 +152,7 @@ def get_backend() -> Backend:
     return _activate(resolve_backend_name(), from_env=True)
 
 
-def set_backend(name: Optional[str]) -> Backend:
+def set_backend(name: Optional[str]) -> NumpyBackend:
     """Select a backend by name; ``None`` re-resolves from the environment.
 
     An unknown *name* raises ``ValueError``; a registered-but-unavailable
@@ -160,15 +168,23 @@ def set_backend(name: Optional[str]) -> Backend:
 
 
 @contextmanager
-def use_backend(name: str) -> Iterator[Backend]:
-    """Temporarily activate backend *name* (restores the previous one)."""
+def use_backend(backend: Union[str, NumpyBackend]) -> Iterator[NumpyBackend]:
+    """Temporarily activate *backend*, a registered name or an instance.
+
+    Restores the previous backend on exit.
+    """
+    global _ACTIVE
     previous = _ACTIVE
-    backend = set_backend(name)
+    if isinstance(backend, str):
+        backend = set_backend(backend)
+    else:
+        with _LOCK:
+            _ACTIVE = backend
     try:
         yield backend
     finally:
         with _LOCK:
-            globals()["_ACTIVE"] = previous
+            _ACTIVE = previous
 
 
 def warmup() -> float:

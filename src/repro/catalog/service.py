@@ -47,7 +47,7 @@ from repro.core.sketch import MNCSketch
 from repro.errors import ReproError, SketchError
 from repro.estimators.base import SparsityEstimator, Synopsis, make_estimator
 from repro.estimators.mnc import MNCEstimator, MNCSynopsis
-from repro.estimators.spec import AUTO_NAME, EstimatorSpec
+from repro.estimators.spec import EstimatorSpec
 from repro.ir.nodes import Expr
 from repro.matrix.conversion import MatrixLike
 from repro.observability.recording import unwrap_estimator
@@ -122,8 +122,7 @@ def _request_spec(
     ``estimator="auto"`` (tolerance is a routing concept)."""
     if estimator is None and tolerance is None:
         return None
-    default = AUTO_NAME if tolerance is not None else "mnc"
-    return EstimatorSpec.parse(estimator, tolerance=tolerance, default=default)
+    return EstimatorSpec.parse(estimator, tolerance=tolerance)
 
 
 class EstimationService:
@@ -519,7 +518,12 @@ class EstimationService:
     def _estimate_batch_parallel(
         self, exprs: List[Expr], workers: int
     ) -> List[Dict[str, Any]]:
-        """Fan uncached roots out to worker processes via shared spill."""
+        """Fan uncached roots out to worker processes via shared spill.
+
+        One task ships per distinct uncached root fingerprint; a later
+        repeat in the batch is answered from the first one's result as a
+        memo hit, exactly as the serial path answers it.
+        """
         routed = self.router is not None
         tag = "route" if routed else "nnz"
         estimator_key = (
@@ -527,35 +531,60 @@ class EstimationService:
         )
         results: List[Optional[Dict[str, Any]]] = [None] * len(exprs)
         pending: List[Tuple[int, Expr, str]] = []
+        first_index: Dict[str, int] = {}
+        repeats: List[Tuple[int, Expr, str]] = []
         for i, expr in enumerate(exprs):
             fingerprint = fingerprint_expr(expr)
+            if fingerprint in first_index:
+                repeats.append((i, expr, fingerprint))
+                continue
             value = self.memo.get(fingerprint, estimator_key, tag)
             if value is None:
+                first_index[fingerprint] = i
                 pending.append((i, expr, fingerprint))
                 continue
             # Warm path: answer from the parent memo without shipping.
-            with self._counter_lock:
-                self._requests += 1
-                self._hits += 1
-            metric_inc("catalog.service.hit")
             nnz, router_meta = value if routed else (value, None)
-            m, n = expr.shape
-            results[i] = {
-                "nnz": nnz,
-                "sparsity": nnz / (m * n) if m and n else 0.0,
-                "seconds": 0.0,
-                "fingerprint": fingerprint,
-                "cached": True,
-            }
-            if router_meta is not None:
-                results[i]["router"] = dict(router_meta)
-        if not pending:
-            return [result for result in results if result is not None]
+            results[i] = self._batch_hit(expr, fingerprint, nnz, router_meta)
         if len(pending) == 1:
             index, expr, _ = pending[0]
             results[index] = self._estimate_one(expr)
-            return [result for result in results if result is not None]
+        elif pending:
+            self._fan_out(pending, results, workers, routed, estimator_key, tag)
+        for index, expr, fingerprint in repeats:
+            first = results[first_index[fingerprint]]
+            results[index] = self._batch_hit(
+                expr, fingerprint, first["nnz"], first.get("router")
+            )
+        return [result for result in results if result is not None]
 
+    def _batch_hit(
+        self, expr: Expr, fingerprint: str, nnz: float,
+        router_meta: Optional[Dict[str, Any]],
+    ) -> Dict[str, Any]:
+        """A batch answer served without estimation, counted as a hit."""
+        with self._counter_lock:
+            self._requests += 1
+            self._hits += 1
+        metric_inc("catalog.service.hit")
+        m, n = expr.shape
+        result = {
+            "nnz": nnz,
+            "sparsity": nnz / (m * n) if m and n else 0.0,
+            "seconds": 0.0,
+            "fingerprint": fingerprint,
+            "cached": True,
+        }
+        if router_meta is not None:
+            result["router"] = dict(router_meta)
+        return result
+
+    def _fan_out(
+        self, pending: List[Tuple[int, Expr, str]],
+        results: List[Optional[Dict[str, Any]]], workers: int,
+        routed: bool, estimator_key: str, tag: str,
+    ) -> None:
+        """Estimate *pending* roots in worker processes into *results*."""
         directory = self.store.spill_dir
         cleanup = None
         if directory is None:
@@ -611,7 +640,6 @@ class EstimationService:
         finally:
             if cleanup is not None:
                 cleanup.cleanup()
-        return [result for result in results if result is not None]
 
     def optimize_chain(self, matrices: Sequence[MatrixLike], rng=None,
                        workers: Optional[int] = None):

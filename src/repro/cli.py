@@ -59,11 +59,11 @@ see ``docs/PARALLEL.md``). Worker traces are merged into the parent's
 
 Data commands (and ``estimators``/``serve``) accept ``--backend NAME``
 to pick the kernel backend for the estimation hot paths — ``numpy``
-(always-available reference), ``numba`` (compiled), ``python`` (debug),
-or ``auto`` (default: ``$REPRO_BACKEND``, else numba when importable).
-The selection is exported via ``$REPRO_BACKEND`` so ``--workers``
-subprocesses inherit it; estimates are bit-identical across backends
-(see docs/PERFORMANCE.md "Backends").
+(always available), ``numba`` (compiled), or ``auto`` (default:
+``$REPRO_BACKEND``, else numba when importable). The selection is
+exported via ``$REPRO_BACKEND`` so ``--workers`` subprocesses inherit
+it; estimates are bit-identical across backends (see
+docs/PERFORMANCE.md "Backends").
 
 Matrices are exchanged in scipy ``.npz`` sparse format
 (:func:`repro.matrix.io.save_matrix`).
@@ -122,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     backend_opts.add_argument(
         "--backend", metavar="NAME", default=None,
         help="kernel backend for the estimation hot paths: numpy, numba, "
-             "python, or auto (default: $REPRO_BACKEND, else auto-detect; "
-             "an unavailable backend falls back to numpy with a warning)",
+             "or auto (default: $REPRO_BACKEND, else auto-detect; an "
+             "unavailable or unknown backend falls back to numpy with a "
+             "warning)",
     )
 
     commands.add_parser("info", help="show version, estimators, use cases")
@@ -435,12 +436,11 @@ def _cmd_estimate(
     workers: Optional[int] = None,
     tolerance: Optional[float] = None,
 ) -> int:
-    from repro.estimators.spec import AUTO_NAME, EstimatorSpec
+    from repro.estimators.spec import EstimatorSpec
     from repro.matrix.io import load_matrix
     from repro.opcodes import Op
 
-    default = AUTO_NAME if tolerance is not None else "mnc"
-    spec = EstimatorSpec.parse(estimator_name, tolerance=tolerance, default=default)
+    spec = EstimatorSpec.parse(estimator_name, tolerance=tolerance)
     a = load_matrix(left)
     b = load_matrix(right)
     label = spec.name
@@ -865,14 +865,13 @@ def _cmd_serve(
     from repro.catalog.service import EstimationService
     from repro.catalog.sharded import ShardedSketchStore
     from repro.catalog.store import DEFAULT_BUDGET_BYTES
-    from repro.estimators.spec import AUTO_NAME, EstimatorSpec
+    from repro.estimators.spec import EstimatorSpec
     from repro.parallel import WorkerPool, resolve_workers
     from repro.serve.server import EstimationServer
 
     from repro import backends
 
-    default = AUTO_NAME if tolerance is not None else "mnc"
-    spec = EstimatorSpec.parse(estimator, tolerance=tolerance, default=default)
+    spec = EstimatorSpec.parse(estimator, tolerance=tolerance)
     # Warm the kernel backend before accepting traffic so the first
     # request never pays JIT compile time; the cost is recorded as the
     # backend.jit_compile_seconds gauge (visible under GET /metrics).

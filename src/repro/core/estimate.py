@@ -6,11 +6,13 @@ the lower/upper bounds of Theorem 3.2.
 
 Hot-path notes (docs/PERFORMANCE.md): the drivers read the sketches'
 cached float64 count views (``hr_f64``/``hc_f64``), evaluate the
-density-map fallback in reused scratch buffers, dispatch the inner
-loops through :func:`repro.backends.get_backend` (numpy reference or
-numba-compiled kernels, bit-identical by contract), and only enter a
-tracing span when a collector is listening — the estimates are the
-same under every combination.
+density-map fallback in a reused scratch buffer with native
+``np.log1p``/``np.sum`` (the same numpy code under every backend),
+dispatch the exact inner loops through
+:func:`repro.backends.get_backend` (numpy or numba-compiled kernels,
+byte-identical through exact arithmetic), and only enter a tracing span
+when a collector is listening — the estimates are the same under every
+combination.
 """
 
 from __future__ import annotations

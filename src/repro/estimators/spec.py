@@ -110,15 +110,16 @@ class EstimatorSpec:
         *,
         tolerance: Optional[float] = None,
         seed: Optional[int] = None,
-        default: str = "mnc",
     ) -> "EstimatorSpec":
         """Normalize any historical estimator-selection form into a spec.
 
         *tolerance* / *seed* keyword arguments override the parsed values
-        when given (the CLI-flag path). ``None`` parses to *default*.
+        when given (the CLI-flag path). ``None`` parses to ``auto`` when a
+        *tolerance* is given (tolerance is a routing concept) and to
+        ``mnc`` otherwise.
         """
         if value is None:
-            spec = cls(name=default)
+            spec = cls(name=AUTO_NAME if tolerance is not None else "mnc")
         elif isinstance(value, cls):
             spec = value
         elif isinstance(value, str):

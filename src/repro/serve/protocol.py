@@ -302,7 +302,7 @@ def _decode_estimator(body: Dict[str, Any]):
     selections raise :class:`~repro.errors.EstimatorError` subclasses,
     which the server maps to a structured 400.
     """
-    from repro.estimators.spec import AUTO_NAME, EstimatorSpec
+    from repro.estimators.spec import EstimatorSpec
 
     estimator = body.get("estimator")
     tolerance = body.get("tolerance")
@@ -314,10 +314,7 @@ def _decode_estimator(body: Dict[str, Any]):
             seed = int(seed)
         except (TypeError, ValueError):
             raise ProtocolError(f"'seed' must be an integer, got {seed!r}") from None
-    default = AUTO_NAME if tolerance is not None else "mnc"
-    return EstimatorSpec.parse(
-        estimator, tolerance=tolerance, seed=seed, default=default
-    )
+    return EstimatorSpec.parse(estimator, tolerance=tolerance, seed=seed)
 
 
 def decode_update_request(body: Dict[str, Any]) -> List[Any]:

@@ -31,8 +31,10 @@ Contract id              Applies to (tag)       Invariant
                                                 bit-identical
 ``incremental_equals_rebuild`` ``sketch``       sketch patched by seeded
                                                 deltas == from-scratch rebuild
-``backends_agree``       everyone               every kernel backend returns
-                                                the byte-identical estimate
+``backends_agree``       everyone               numpy, the uncompiled kernels
+                                                and numba (where it imports)
+                                                return the byte-identical
+                                                estimate
 =======================  =====================  ==============================
 """
 
@@ -676,20 +678,23 @@ def _applies_backends_agree(spec: EstimatorSpec, case: Case) -> bool:
 
 def _check_backends_agree(spec: EstimatorSpec, case: Case) -> Optional[str]:
     from repro import backends
+    from repro.backends.jit_backend import KernelBackend
 
+    # numpy vs the uncompiled kernels on every machine, and vs numba's
+    # compiled build of the same kernels where numba imports.
     reference = None
-    names = ["numpy", "python"]
+    candidates = ["numpy", KernelBackend()]
     if backends.numba_importable():
-        names.append("numba")
-    for name in names:
-        with backends.use_backend(name):
+        candidates.append("numba")
+    for candidate in candidates:
+        with backends.use_backend(candidate) as backend:
             estimate = estimate_case(spec.make(), case)
         if reference is None:
-            reference = (name, estimate)
+            reference = (backend.name, estimate)
         elif estimate != reference[1] and not (
             np.isnan(estimate) and np.isnan(reference[1])
         ):
-            return (f"backend {name!r} estimates {estimate!r} but "
+            return (f"backend {backend.name!r} estimates {estimate!r} but "
                     f"{reference[0]!r} estimates {reference[1]!r} "
                     f"(bit-identity contract)")
     return None

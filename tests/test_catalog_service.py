@@ -7,6 +7,7 @@ import repro.sparsest.runner as runner_module
 from repro.catalog import EstimationService, SketchStore
 from repro.catalog.fingerprint import fingerprint_matrix
 from repro.errors import SketchError
+from repro.estimators import EstimatorSpec
 from repro.ir.interpreter import evaluate
 from repro.ir.nodes import leaf, matmul, transpose
 from repro.matrix.random import random_sparse
@@ -73,6 +74,19 @@ class TestEstimate:
             [build_expr(a, b), build_expr(a, b), build_expr(a, b)]
         )
         assert [r["cached"] for r in results] == [False, True, True]
+        # A routed batch fanned out to workers ships each distinct root
+        # once and answers the repeats from it, counted as hits.
+        gram = matmul(transpose(leaf(a)), leaf(a))
+        routed = EstimationService(EstimatorSpec.parse(None, tolerance=0.5))
+        batch = [build_expr(a, b), gram, build_expr(a, b), gram, gram]
+        results = routed.estimate_many(batch, workers=2)
+        assert [r["cached"] for r in results] == [False, False, True, True, True]
+        for repeat, origin in ((2, 0), (3, 1), (4, 1)):
+            assert results[repeat]["nnz"] == results[origin]["nnz"]
+            assert results[repeat]["router"] == results[origin]["router"]
+        assert routed.stats()["service"] == {
+            "requests": 5, "hits": 3, "hit_rate": 0.6
+        }
 
     def test_include_intermediates_bypasses_root_memo(self, matrices):
         a, b = matrices

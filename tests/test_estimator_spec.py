@@ -33,9 +33,10 @@ class TestParse:
         assert not spec.is_auto
 
     def test_none_uses_default(self):
+        # A bare tolerance means auto (tolerance is a routing concept).
         assert EstimatorSpec.parse(None).name == "mnc"
-        assert EstimatorSpec.parse(None, default="hash").name == "hash"
-        assert EstimatorSpec.parse(None, default=AUTO_NAME).is_auto
+        routed = EstimatorSpec.parse(None, tolerance=0.5)
+        assert routed.name == AUTO_NAME and routed.tolerance == 0.5
 
     def test_existing_spec_is_idempotent(self):
         spec = EstimatorSpec.parse("sampling")

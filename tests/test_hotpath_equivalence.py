@@ -229,44 +229,46 @@ class TestKernelFixes:
         assert BitsetEstimator()._estimate_col_sums(synopsis) == 13.0
 
 
-def _backend_names():
-    """Kernel backends to hold against the numpy reference.
+def _kernel_backends():
+    """Kernel backends to hold against numpy, as pytest params.
 
-    The plain-Python debug backend always participates (it runs the exact
-    numba kernel definitions under the interpreter); the compiled numba
-    backend joins automatically when numba is installed, which is how the
-    CI ``backends`` job gets its compiled-leg coverage.
+    ``python`` — the kernel definitions run by the Python interpreter, a
+    directly constructed ``KernelBackend()`` that no registry name
+    selects — always participates; numba's compiled build of the same
+    kernels joins when numba is installed, which is how the CI
+    ``backends`` job gets its compiled-leg coverage.
     """
     from repro import backends
+    from repro.backends.jit_backend import KernelBackend
 
-    names = ["python"]
+    params = [pytest.param(KernelBackend(), id="python")]
     if backends.numba_importable():
-        names.append("numba")
-    return names
+        params.append(pytest.param("numba", id="numba"))
+    return params
 
 
 class TestBackendEquivalence:
-    """numpy reference vs kernel backends: byte-identical, per contract.
+    """numpy vs kernel backends: byte-identical, per contract.
 
     Same zoo, same seeds as the tier equivalence tests above — every
     estimate and every propagated sketch must agree bit-for-bit across
     backends (docs/PERFORMANCE.md "Backends").
     """
 
-    @pytest.mark.parametrize("backend_name", _backend_names())
+    @pytest.mark.parametrize("backend", _kernel_backends())
     @pytest.mark.parametrize("case", list(_zoo_cases()), ids=_case_ids())
-    def test_zoo_estimates_bitwise_equal(self, backend_name, case):
+    def test_zoo_estimates_bitwise_equal(self, backend, case):
         from repro import backends
 
         with backends.use_backend("numpy"):
             reference = estimate_root_nnz(case.root, MNCEstimator(seed=SEED))
-        with backends.use_backend(backend_name):
+        with backends.use_backend(backend):
             kernel = estimate_root_nnz(case.root, MNCEstimator(seed=SEED))
         assert reference == kernel  # exact, not approx
 
-    @pytest.mark.parametrize("backend_name", _backend_names())
+    @pytest.mark.parametrize("backend", _kernel_backends())
     @pytest.mark.parametrize("seed", range(4))
-    def test_propagated_sketch_bytes_equal(self, backend_name, seed):
+    def test_propagated_sketch_bytes_equal(self, backend, seed):
         from repro import backends
         from repro.core.propagate import propagate_product
 
@@ -274,7 +276,7 @@ class TestBackendEquivalence:
         h_b = MNCSketch.from_matrix(random_sparse(36, 44, 0.18, seed=seed + 100))
         with backends.use_backend("numpy"):
             reference = propagate_product(h_a, h_b, rng=seed)
-        with backends.use_backend(backend_name):
+        with backends.use_backend(backend):
             kernel = propagate_product(h_a, h_b, rng=seed)
         a = sketch_to_arrays(reference)
         b = sketch_to_arrays(kernel)
@@ -282,8 +284,8 @@ class TestBackendEquivalence:
         for key in a:
             assert a[key].tobytes() == b[key].tobytes(), key
 
-    @pytest.mark.parametrize("backend_name", _backend_names())
-    def test_chain_dp_workers_and_backends_agree(self, backend_name):
+    @pytest.mark.parametrize("backend", _kernel_backends())
+    def test_chain_dp_workers_and_backends_agree(self, backend):
         """Chain DP: same plan and cost at workers=1 and workers=4, under
         the numpy reference and every kernel backend."""
         from repro import backends
@@ -296,16 +298,16 @@ class TestBackendEquivalence:
             for m, n in zip(dims, dims[1:])
         ]
         outcomes = {}
-        for name in ("numpy", backend_name):
+        for candidate in ("numpy", backend):
             for workers in (1, 4):
-                with backends.use_backend(name):
+                with backends.use_backend(candidate):
                     solution = optimize_chain_sparse(
                         sketches, rng=np.random.default_rng(3), workers=workers
                     )
-                outcomes[(name, workers)] = (
+                outcomes[(candidate, workers)] = (
                     plan_to_string(solution.plan), solution.cost
                 )
         # Serial and parallel consume the rng differently (documented), so
         # compare across backends within each worker count.
-        assert outcomes[("numpy", 1)] == outcomes[(backend_name, 1)]
-        assert outcomes[("numpy", 4)] == outcomes[(backend_name, 4)]
+        assert outcomes[("numpy", 1)] == outcomes[(backend, 1)]
+        assert outcomes[("numpy", 4)] == outcomes[(backend, 4)]
