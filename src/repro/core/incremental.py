@@ -268,8 +268,10 @@ class IncrementalSketch:
         self._cols: list[np.ndarray] = (
             np.split(cindices, csc.indptr[1:-1]) if n else []
         )
+        # Counts and extensions come from the CSR arrays alone (as in
+        # MNCSketch.from_matrix); the CSC above only feeds _cols.
         self._hr = np.diff(csr.indptr).astype(_INT)
-        self._hc = np.diff(csc.indptr).astype(_INT)
+        self._hc = np.bincount(indices, minlength=n).astype(_INT, copy=False)
         # Full extension vectors, valid everywhere at construction (the
         # from_matrix gating — drop when all-zero or max counts <= 1 —
         # is applied at materialization, not here).
@@ -277,12 +279,11 @@ class IncrementalSketch:
         row_ids = np.repeat(np.arange(m), self._hr)
         self._her = np.bincount(
             row_ids[single_cols[indices]], minlength=m
-        ).astype(_INT)
+        ).astype(_INT, copy=False)
         single_rows = self._hr == 1
-        col_ids = np.repeat(np.arange(n), self._hc)
         self._hec = np.bincount(
-            col_ids[single_rows[cindices]], minlength=n
-        ).astype(_INT)
+            indices[np.repeat(single_rows, self._hr)], minlength=n
+        ).astype(_INT, copy=False)
         self._row_alive = np.ones(m, dtype=bool)
         self._col_alive = np.ones(n, dtype=bool)
         self._row_top = m

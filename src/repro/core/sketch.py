@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.hotpath import validation_forced
 from repro.errors import SketchError
-from repro.matrix.conversion import MatrixLike, as_csc, as_csr
+from repro.matrix.conversion import MatrixLike, as_csr
 from repro.observability.metrics import METRICS
 from repro.observability.trace import trace, tracing_enabled
 
@@ -191,11 +191,15 @@ class MNCSketch:
     def from_matrix(cls, matrix: MatrixLike, with_extensions: bool = True) -> MNCSketch:
         """Build the MNC sketch of *matrix* (Section 3.1).
 
-        ``hr``/``hc`` come from the CSR/CSC index pointers (one scan over the
-        non-zeros). Extension vectors are built in a second filtered scan and
-        only when they can carry information, i.e. when some row or column has
-        more than one non-zero; otherwise Theorem 3.1 already yields exact
-        estimates and the extensions are omitted.
+        Everything comes from one canonical CSR, never a CSC transpose:
+        ``hr`` from the index pointers and ``hc`` as a count of the column
+        indices (one scan over the non-zeros). Extension vectors are built in
+        a second filtered scan and only when they can carry information, i.e.
+        when some row or column has more than one non-zero; otherwise
+        Theorem 3.1 already yields exact estimates and the extensions are
+        omitted. An extension whose filter is empty (no single-non-zero
+        column for ``her``, no single-non-zero row for ``hec``) is all-zero,
+        so it is omitted without scanning.
 
         This is a user-facing entry point, so the result is fully validated.
 
@@ -214,37 +218,34 @@ class MNCSketch:
     @classmethod
     def _from_matrix_impl(cls, matrix: MatrixLike, with_extensions: bool) -> MNCSketch:
         csr = as_csr(matrix)
-        csc = as_csc(csr)
         m, n = csr.shape
+        indices = csr.indices
         hr = np.diff(csr.indptr).astype(np.int64)
-        hc = np.diff(csc.indptr).astype(np.int64)
+        hc = np.bincount(indices, minlength=n).astype(np.int64, copy=False)
         her: Optional[np.ndarray] = None
         hec: Optional[np.ndarray] = None
         max_hr = int(hr.max()) if hr.size else 0
         max_hc = int(hc.max()) if hc.size else 0
         if with_extensions and (max_hr > 1 or max_hc > 1):
-            # her[i]: non-zeros of row i lying in single-non-zero columns.
+            # An extension is all-zero exactly when its filter is empty (a
+            # single-non-zero column adds its non-zero to some row's her, and
+            # symmetrically for hec). All-zero extensions are never built:
+            # Algorithm 1's extension case degenerates bit-for-bit to the
+            # fallback case, and dropping them saves the residual
+            # subtractions and dot products on every downstream estimate.
             single_cols = hc == 1
-            row_ids = np.repeat(np.arange(m), hr)
-            her = np.bincount(
-                row_ids[single_cols[csr.indices]], minlength=m
-            ).astype(np.int64)
-            # hec[j]: non-zeros of column j lying in single-non-zero rows.
+            if single_cols.any():
+                # her[i]: non-zeros of row i lying in single-non-zero columns.
+                row_ids = np.repeat(np.arange(m), hr)
+                her = np.bincount(
+                    row_ids[single_cols[indices]], minlength=m
+                ).astype(np.int64, copy=False)
             single_rows = hr == 1
-            col_ids = np.repeat(np.arange(n), hc)
-            hec = np.bincount(
-                col_ids[single_rows[csc.indices]], minlength=n
-            ).astype(np.int64)
-            # All-zero extensions carry no information (her == 0 everywhere
-            # iff no column holds a single non-zero, i.e. cols_single == 0,
-            # and symmetrically for hec/rows_single), so Algorithm 1's
-            # extension case degenerates bit-for-bit to the fallback case.
-            # Dropping them saves the residual subtractions and dot products
-            # on every downstream estimate.
-            if not her.any():
-                her = None
-            if not hec.any():
-                hec = None
+            if single_rows.any():
+                # hec[j]: non-zeros of column j lying in single-non-zero rows.
+                hec = np.bincount(
+                    indices[np.repeat(single_rows, hr)], minlength=n
+                ).astype(np.int64, copy=False)
         diagonal = bool(
             m == n and csr.nnz == m and _structure_is_diagonal(csr)
         )

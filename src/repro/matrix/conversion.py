@@ -37,8 +37,18 @@ def as_csr(matrix: MatrixLike, copy: bool = False) -> sp.csr_array:
     """Convert *matrix* to a canonical CSR array.
 
     Canonical means: 2-D, duplicate entries summed, explicit zeros removed,
-    indices sorted. Estimators rely on ``nnz`` counting only *structural*
-    non-zeros, so the explicit-zero elimination here is load-bearing.
+    indices sorted, and ``len(data) == len(indices) == nnz``. Estimators rely
+    on ``nnz`` counting only *structural* non-zeros, so the explicit-zero
+    elimination here is load-bearing.
+
+    The caller's matrix is never modified. Canonical, zero-free
+    ``csr_array`` input is returned as is (the same object unless *copy*).
+    The arrays are rewritten (duplicates summed, zeros eliminated) only when
+    the input is not in canonical format, ``data`` holds an explicit zero
+    (the ``x != 0`` test scipy applies, so NaN counts as non-zero), or the
+    arrays hold spare capacity past ``nnz``. A result that shares buffers
+    with the input (the ``csr_array`` itself, or a wrapped ``csr_matrix``)
+    is copied before it is rewritten.
 
     Args:
         matrix: dense array, sparse matrix/array, or nested lists.
@@ -47,44 +57,41 @@ def as_csr(matrix: MatrixLike, copy: bool = False) -> sp.csr_array:
     Returns:
         A canonical ``scipy.sparse.csr_array``.
     """
-    if isinstance(matrix, sp.csr_array) and not copy:
-        result = matrix
-    elif sp.issparse(matrix):
-        result = sp.csr_array(matrix)
-    else:
-        dense = np.asarray(matrix)
-        if dense.ndim == 1:
-            dense = dense.reshape(1, -1)
-        _validate_2d(dense.shape)
-        result = sp.csr_array(dense)
-    if result.has_canonical_format and not copy:
-        # sum_duplicates / eliminate_zeros already done; explicit zeros may
-        # still be present in canonical format, so always scrub them.
-        result = result.copy() if copy else result
-    else:
-        result = result.copy()
-        result.sum_duplicates()
-    result.eliminate_zeros()
-    _validate_2d(result.shape)
-    return result
+    return _canonical(matrix, sp.csr_array, copy)
 
 
 def as_csc(matrix: MatrixLike, copy: bool = False) -> sp.csc_array:
     """Convert *matrix* to a canonical CSC array (see :func:`as_csr`)."""
-    if isinstance(matrix, sp.csc_array) and not copy:
-        result = matrix
-    elif sp.issparse(matrix):
-        result = sp.csc_array(matrix)
+    return _canonical(matrix, sp.csc_array, copy)
+
+
+def _canonical(
+    matrix: MatrixLike, cls: type, copy: bool
+) -> Union[sp.csr_array, sp.csc_array]:
+    if sp.issparse(matrix):
+        result = matrix if isinstance(matrix, cls) else cls(matrix)
+        # Same format means shared buffers (a csr_matrix wrapped as a
+        # csr_array keeps its data/indices/indptr): copy before rewriting.
+        shared = matrix.format == result.format
     else:
         dense = np.asarray(matrix)
         if dense.ndim == 1:
             dense = dense.reshape(1, -1)
         _validate_2d(dense.shape)
-        result = sp.csc_array(dense)
-    if not result.has_canonical_format or copy:
+        result = cls(dense)
+        shared = False
+    nnz = result.nnz
+    rewrite = (
+        not result.has_canonical_format
+        or len(result.data) != nnz
+        or len(result.indices) != nnz
+        or not result.data.all()
+    )
+    if shared and (copy or rewrite):
         result = result.copy()
+    if rewrite:
         result.sum_duplicates()
-    result.eliminate_zeros()
+        result.eliminate_zeros()
     _validate_2d(result.shape)
     return result
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.matrix.conversion import MatrixLike, as_csc, as_csr
+from repro.matrix.conversion import MatrixLike, as_csr
 
 
 def nnz(matrix: MatrixLike) -> int:
@@ -46,8 +46,10 @@ def row_nnz(matrix: MatrixLike) -> np.ndarray:
 
 def col_nnz(matrix: MatrixLike) -> np.ndarray:
     """Non-zeros per column as an ``int64`` vector of length ``n``."""
-    csc = as_csc(matrix)
-    return np.diff(csc.indptr).astype(np.int64)
+    csr = as_csr(matrix)
+    return np.bincount(csr.indices, minlength=csr.shape[1]).astype(
+        np.int64, copy=False
+    )
 
 
 def is_diagonal(matrix: MatrixLike) -> bool:

@@ -82,27 +82,27 @@ def tier_by_name(name: str) -> Optional[Tier]:
     return _TIER_BY_NAME.get(name)
 
 
-def tier_supports(tier: Tier, root: Expr) -> bool:
-    """Whether *tier*'s estimator can evaluate the whole DAG under *root*:
-    direct estimation of the root op, synopsis propagation everywhere else.
-    """
-    probe = _probe(tier.name)
-    if root.op is not Op.LEAF and not probe.supports(root.op):
-        return False
-    for node in root.postorder():
-        if node is root or node.op is Op.LEAF:
-            continue
-        if not probe.supports_propagation(node.op):
-            return False
-    return True
-
-
 def admissible_tiers(root: Expr) -> List[Tier]:
-    """The ladder restricted to tiers that can evaluate *root*'s DAG.
+    """The ladder restricted to tiers that can evaluate *root*'s DAG: direct
+    estimation of the root op, synopsis propagation everywhere else.
 
     Never empty: the exact oracle supports every operation.
     """
-    return [tier for tier in TIER_LADDER if tier_supports(tier, root)]
+    # One walk for the whole ladder: routing a cheap expression is only a
+    # few metadata builds, so per-tier DAG walks would dominate it.
+    inner_ops = {
+        node.op
+        for node in root.postorder()
+        if node is not root and node.op is not Op.LEAF
+    }
+    admissible = []
+    for tier in TIER_LADDER:
+        probe = _probe(tier.name)
+        if root.op is not Op.LEAF and not probe.supports(root.op):
+            continue
+        if all(probe.supports_propagation(op) for op in inner_ops):
+            admissible.append(tier)
+    return admissible
 
 
 def estimator_catalog() -> List[Dict[str, object]]:

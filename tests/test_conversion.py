@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.sketch import MNCSketch
 from repro.errors import ShapeError
+from repro.estimators import MetaACEstimator
 from repro.matrix.conversion import (
     as_csc,
     as_csr,
@@ -103,6 +105,64 @@ class TestAsCsc:
             (np.array([0.0]), (np.array([0]), np.array([0]))), shape=(1, 2)
         )
         assert as_csc(coo).nnz == 0
+
+
+def _with_explicit_zero(kind):
+    """A canonical 2x3 matrix of *kind* storing one explicit zero."""
+    data = np.array([1.0, 0.0, 2.0])
+    indices = np.array([0, 1, 2])
+    indptr = np.array([0, 2, 3])
+    if kind == "csc_array":
+        return sp.csc_array((data, indices, indptr), shape=(3, 2))
+    cls = sp.csr_array if kind == "csr_array" else sp.csr_matrix
+    return cls((data, indices, indptr), shape=(2, 3))
+
+
+class TestInputNotMutated:
+    @pytest.mark.parametrize("kind", ["csr_array", "csr_matrix", "csc_array"])
+    @pytest.mark.parametrize(
+        "structural_nnz",
+        [
+            lambda m: as_csr(m).nnz,
+            lambda m: as_csc(m).nnz,
+            lambda m: MNCSketch.from_matrix(m).total_nnz,
+            lambda m: MetaACEstimator().build(m).nnz_estimate,
+        ],
+        ids=["as_csr", "as_csc", "from_matrix", "meta_ac_build"],
+    )
+    def test_explicit_zero_input_unchanged(self, kind, structural_nnz):
+        matrix = _with_explicit_zero(kind)
+        assert matrix.has_canonical_format
+        before = (
+            matrix.data.copy(), matrix.indices.copy(), matrix.indptr.copy()
+        )
+        assert structural_nnz(matrix) == 2
+        np.testing.assert_array_equal(matrix.data, before[0])
+        np.testing.assert_array_equal(matrix.indices, before[1])
+        np.testing.assert_array_equal(matrix.indptr, before[2])
+        assert matrix.nnz == 3
+
+    def test_spare_capacity_trimmed(self):
+        csr = sp.csr_array(
+            (np.array([1.0, 2.0]), np.array([0, 1]), np.array([0, 1, 2])),
+            shape=(2, 2),
+        )
+        # Arrays longer than nnz (scipy's constructor prunes, assignment
+        # does not): canonical and zero-free, but not yet trimmed.
+        csr.data = np.array([1.0, 2.0, 9.0])
+        csr.indices = np.array([0, 1, 0], dtype=csr.indices.dtype)
+        result = as_csr(csr)
+        assert result.nnz == len(result.data) == len(result.indices) == 2
+        assert len(csr.data) == len(csr.indices) == 3
+
+    def test_nan_counts_as_nonzero(self):
+        csr = as_csr(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        assert as_csr(csr) is csr
+        assert csr.nnz == 2
+
+    def test_zero_free_csr_matrix_not_copied(self):
+        legacy = sp.csr_matrix(np.eye(3))
+        assert np.shares_memory(as_csr(legacy).data, legacy.data)
 
 
 class TestToDense:

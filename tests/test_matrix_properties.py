@@ -1,8 +1,10 @@
 """Unit tests for repro.matrix.properties."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
+from repro.matrix.conversion import as_csc
 from repro.matrix.properties import (
     col_nnz,
     density,
@@ -34,6 +36,28 @@ class TestCounts:
     def test_col_nnz(self):
         counts = col_nnz(np.array([[1, 1, 0], [0, 0, 0], [1, 0, 1]]))
         np.testing.assert_array_equal(counts, [2, 1, 1])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.zeros((0, 4)),
+            np.zeros((3, 0)),
+            np.array([[0, 2, 0, 0]]),
+            np.ones((5, 1)),
+            sp.coo_array(
+                (np.array([1.0, 0.0, -1.0, 1.0, 3.0]),
+                 (np.array([0, 1, 2, 2, 2]), np.array([1, 1, 0, 0, 3]))),
+                shape=(3, 5),
+            ),
+            sp.csc_array(np.eye(6)[::-1]),
+            sp.csr_matrix(np.tri(7, 4)),
+        ],
+        ids=["no_rows", "no_cols", "row", "col", "coo", "csc", "csr_matrix"],
+    )
+    def test_col_nnz_equals_csc_count(self, matrix):
+        counts = col_nnz(matrix)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, np.diff(as_csc(matrix).indptr))
 
     def test_row_col_sums_agree(self):
         matrix = np.array([[1, 0, 2], [0, 3, 0]])

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.sketch import MNCSketch
 from repro.errors import SketchError
+from repro.estimators import MetaACEstimator, MNCEstimator, SamplingEstimator
 from repro.matrix.conversion import as_csr
 from repro.matrix.random import (
     diagonal_matrix,
@@ -105,6 +107,35 @@ class TestConstruction:
         sketch = MNCSketch.from_matrix(np.zeros((0, 4)))
         assert sketch.total_nnz == 0
         assert sketch.sparsity == 0.0
+
+
+class TestBuildReadsCsrOnly:
+    """Leaf builds from CSR input never transpose to CSC (Section 3.1: one
+    scan over the non-zeros)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            MNCSketch.from_matrix,
+            lambda m: MetaACEstimator().build(m),
+            lambda m: MNCEstimator().build(m),
+            lambda m: SamplingEstimator().build(m),
+        ],
+        ids=["from_matrix", "meta_ac", "mnc", "sampling"],
+    )
+    def test_no_csc_transpose(self, monkeypatch, build):
+        # A random block beside an identity block: both extensions built.
+        matrix = as_csr(sp.block_diag(
+            [random_sparse(40, 30, 0.2, seed=5), np.eye(10)], format="csr"
+        ))
+        sketch = MNCSketch.from_matrix(matrix)
+        assert sketch.her is not None and sketch.hec is not None
+
+        def refuse(self, copy=False):
+            raise AssertionError("CSR input was transposed to CSC")
+
+        monkeypatch.setattr(sp.csr_array, "tocsc", refuse)
+        build(matrix)
 
 
 class TestValidation:
