@@ -354,6 +354,23 @@ class EstimationService:
             self._derived[spec.key] = derived
         return derived
 
+    def is_memoized(
+        self, expr: Expr, spec: Optional[EstimatorSpec] = None
+    ) -> bool:
+        """Whether an ``estimate`` of *expr* under *spec* (``None`` = this
+        service's own estimator) would be answered from the memo.
+
+        Side-effect free: counts nothing and leaves LRU recency alone, so
+        a caller that checks before :meth:`submit` reads every counter
+        exactly as one that only submitted.
+        """
+        service = self if spec is None else self._service_for(spec)
+        if service.router is not None:
+            key, tag = service.spec.key, "route"
+        else:
+            key, tag = self._estimator_key(service.estimator), "nnz"
+        return (fingerprint_expr(expr), key, tag) in service.memo
+
     def estimate(
         self, expr: Expr, include_intermediates: bool = False
     ) -> Dict[str, Any]:

@@ -49,7 +49,7 @@ deltas chain into catalog delta-fingerprints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,6 +71,7 @@ __all__ = [
     "apply_updates",
     "delta_from_payload",
     "delta_to_payload",
+    "next_shape",
     "random_deltas",
 ]
 
@@ -218,6 +219,58 @@ def delta_from_payload(obj: object) -> Delta:
             raise
         raise SketchError(f"malformed {kind!r} delta payload: {exc}") from exc
     raise SketchError(f"unknown delta kind {kind!r}")
+
+
+def next_shape(shape: tuple[int, int], delta: Delta) -> tuple[int, int]:
+    """The shape after applying *delta* to a matrix of *shape*.
+
+    Raises :class:`ShapeError` when the delta does not fit *shape*. This
+    is the one place deltas are checked against a shape: :func:`apply_update`
+    calls it before mutating anything, and the server runs a whole batch
+    through it before applying the first delta.
+    """
+    m, n = int(shape[0]), int(shape[1])
+    if isinstance(delta, AppendRows):
+        for pat in delta.patterns:
+            if pat.size and pat[-1] >= n:
+                raise ShapeError(
+                    f"appended row touches column {int(pat[-1])} "
+                    f"but the matrix has {n} columns"
+                )
+        return m + len(delta.patterns), n
+    if isinstance(delta, AppendCols):
+        for pat in delta.patterns:
+            if pat.size and pat[-1] >= m:
+                raise ShapeError(
+                    f"appended column touches row {int(pat[-1])} "
+                    f"but the matrix has {m} rows"
+                )
+        return m, n + len(delta.patterns)
+    if isinstance(delta, DeleteRows):
+        positions = delta.positions
+        if positions.size and positions[-1] >= m:
+            raise ShapeError(
+                f"cannot delete row {int(positions[-1])} of a {m}-row matrix"
+            )
+        return m - positions.size, n
+    if isinstance(delta, DeleteCols):
+        positions = delta.positions
+        if positions.size and positions[-1] >= n:
+            raise ShapeError(
+                f"cannot delete column {int(positions[-1])} "
+                f"of a {n}-column matrix"
+            )
+        return m, n - positions.size
+    if isinstance(delta, BlockUpdate):
+        bh, bw = delta.pattern.shape
+        r0, c0 = delta.row_start, delta.col_start
+        if r0 + bh > m or c0 + bw > n:
+            raise ShapeError(
+                f"block [{r0}:{r0 + bh}, {c0}:{c0 + bw}] exceeds "
+                f"matrix shape {(m, n)}"
+            )
+        return m, n
+    raise SketchError(f"unknown delta type {type(delta).__name__}")
 
 
 def _segment_counts(bases: list, predicate) -> np.ndarray:
@@ -490,13 +543,6 @@ class IncrementalSketch:
         patterns = delta.patterns
         if not patterns:
             return
-        n = self._n
-        for pat in patterns:
-            if pat.size and pat[-1] >= n:
-                raise ShapeError(
-                    f"appended row touches column {int(pat[-1])} "
-                    f"but the matrix has {n} columns"
-                )
         alive_cols = self._alive_col_slots()
         k = len(patterns)
         top = self._row_top
@@ -539,13 +585,6 @@ class IncrementalSketch:
         patterns = delta.patterns
         if not patterns:
             return
-        m = self._m
-        for pat in patterns:
-            if pat.size and pat[-1] >= m:
-                raise ShapeError(
-                    f"appended column touches row {int(pat[-1])} "
-                    f"but the matrix has {m} rows"
-                )
         alive_rows = self._alive_row_slots()
         k = len(patterns)
         top = self._col_top
@@ -587,11 +626,6 @@ class IncrementalSketch:
         positions = delta.positions
         if not positions.size:
             return
-        if positions[-1] >= self._m:
-            raise ShapeError(
-                f"cannot delete row {int(positions[-1])} "
-                f"of a {self._m}-row matrix"
-            )
         slots = self._alive_row_slots()[positions]
         structs = [self._row_struct(int(r)) for r in slots]
         removed_cells = (
@@ -620,11 +654,6 @@ class IncrementalSketch:
         positions = delta.positions
         if not positions.size:
             return
-        if positions[-1] >= self._n:
-            raise ShapeError(
-                f"cannot delete column {int(positions[-1])} "
-                f"of a {self._n}-column matrix"
-            )
         slots = self._alive_col_slots()[positions]
         structs = [self._col_struct(int(c)) for c in slots]
         removed_cells = (
@@ -651,11 +680,6 @@ class IncrementalSketch:
     def _apply_block(self, delta: BlockUpdate) -> None:
         bh, bw = delta.pattern.shape
         r0, c0 = delta.row_start, delta.col_start
-        if r0 + bh > self._m or c0 + bw > self._n:
-            raise ShapeError(
-                f"block [{r0}:{r0 + bh}, {c0}:{c0 + bw}] exceeds "
-                f"matrix shape {self.shape}"
-            )
         if bh == 0 or bw == 0:
             return
         alive_rows = self._alive_row_slots()
@@ -736,9 +760,7 @@ class IncrementalSketch:
         """Renumber slots to position space and drop lazy hygiene debt."""
         rows_idx = self._alive_row_slots()
         cols_idx = self._alive_col_slots()
-        structs = [self._row_struct(int(r)) for r in rows_idx]
-        new_rows = [np.searchsorted(cols_idx, s).astype(_INT) for s in structs]
-        csr = self._csr_from(new_rows)
+        csr = self.to_matrix()
         csc = as_csc(csr)
         m, n = self._m, self._n
         her_dirty = {
@@ -751,7 +773,11 @@ class IncrementalSketch:
             for c in self._hec_dirty
             if self._col_alive[c]
         }
-        self._rows = new_rows
+        self._rows = (
+            np.split(csr.indices.astype(_INT, copy=False), csr.indptr[1:-1])
+            if m
+            else []
+        )
         self._cols = (
             np.split(csc.indices.astype(_INT, copy=False), csc.indptr[1:-1])
             if n
@@ -931,35 +957,62 @@ class IncrementalSketch:
             exact=False,
         )
 
-    def _csr_from(self, structs: Sequence[np.ndarray]) -> sp.csr_array:
-        m, n = self._m, self._n
-        indptr = np.zeros(m + 1, dtype=_INT)
-        if structs:
-            np.cumsum([s.size for s in structs], out=indptr[1:])
-            indices = (
-                np.concatenate(structs)
-                if indptr[-1]
-                else np.empty(0, dtype=_INT)
-            )
-        else:
-            indices = np.empty(0, dtype=_INT)
-        data = np.ones(indices.size, dtype=np.float64)
-        return sp.csr_array((data, indices, indptr), shape=(m, n))
-
     def to_matrix(self) -> sp.csr_array:
         """Rebuild the current structure as a canonical CSR array.
 
         Non-zeros carry value ``1.0`` — the sketch only ever tracked
         structure, so this is the rebuild target the differential
-        contract compares against.
+        contract compares against. One vectorized gather: the alive rows'
+        bases are concatenated once, cells in dead column slots dropped,
+        row extras merged by one sort, and slots mapped to positions
+        through the running count of each alive mask.
         """
-        rows_idx = self._alive_row_slots()
-        cols_idx = self._alive_col_slots()
-        structs = [
-            np.searchsorted(cols_idx, self._row_struct(int(r))).astype(_INT)
-            for r in rows_idx
-        ]
-        return self._csr_from(structs)
+        m, n = self._m, self._n
+        bases = [self._rows[r] for r in self._alive_row_slots().tolist()]
+        counts = np.fromiter(map(len, bases), dtype=_INT, count=m)
+        cols = np.concatenate(bases) if m else np.empty(0, dtype=_INT)
+        # Row position of every cell, built only when cells are dropped or
+        # merged; otherwise *counts* already gives the row pointers.
+        rows: Optional[np.ndarray] = None
+        keep = self._col_alive[cols]
+        if not keep.all():
+            rows = np.repeat(np.arange(m, dtype=_INT), counts)[keep]
+            cols = cols[keep]
+        if self._row_extra:
+            extra_rows, extra_cols = self._alive_row_extras()
+            if extra_cols.size:
+                if rows is None:
+                    rows = np.repeat(np.arange(m, dtype=_INT), counts)
+                rows = np.concatenate([rows, extra_rows])
+                cols = np.concatenate([cols, extra_cols])
+                order = np.lexsort((cols, rows))
+                rows, cols = rows[order], cols[order]
+        if rows is not None:
+            counts = np.bincount(rows, minlength=m)
+        indptr = np.zeros(m + 1, dtype=_INT)
+        np.cumsum(counts, out=indptr[1:])
+        alive_cols = self._col_alive[: self._col_top]
+        col_position = np.cumsum(alive_cols, dtype=_INT) - 1
+        indices = col_position[cols]
+        data = np.ones(indices.size, dtype=np.float64)
+        return sp.csr_array((data, indices, indptr), shape=(m, n))
+
+    def _alive_row_extras(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(row position, column slot)`` of every alive row-extra cell."""
+        extras = self._row_extra
+        slots = np.fromiter(extras, dtype=_INT, count=len(extras))
+        sizes = np.fromiter(
+            map(len, extras.values()), dtype=_INT, count=slots.size
+        )
+        cols = np.fromiter(
+            (c for extra in extras.values() for c in extra),
+            dtype=_INT, count=int(sizes.sum()),
+        )
+        slots = np.repeat(slots, sizes)
+        alive = self._row_alive[slots] & self._col_alive[cols]
+        alive_rows = self._row_alive[: self._row_top]
+        row_position = np.cumsum(alive_rows, dtype=_INT) - 1
+        return row_position[slots[alive]], cols[alive]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -974,9 +1027,8 @@ def apply_update(sketch: IncrementalSketch, delta: Delta) -> IncrementalSketch:
 
     ``O(m + n + |delta| * adjacency)`` — never proportional to the total
     non-zero count. Raises :class:`ShapeError` when the delta does not
-    fit the current shape and :class:`SketchError` for malformed deltas;
-    a failed update leaves the sketch unchanged only for shape errors
-    detected up front (deltas validate before mutating).
+    fit the current shape (:func:`next_shape`) and :class:`SketchError`
+    for an unknown delta type, both before mutating anything.
     """
     if not isinstance(sketch, IncrementalSketch):
         raise SketchError(
@@ -984,6 +1036,7 @@ def apply_update(sketch: IncrementalSketch, delta: Delta) -> IncrementalSketch:
             f"{type(sketch).__name__} (materialized MNCSketch instances "
             f"are immutable; wrap the matrix in IncrementalSketch first)"
         )
+    next_shape(sketch.shape, delta)
     if isinstance(delta, AppendRows):
         sketch._apply_append_rows(delta)
     elif isinstance(delta, AppendCols):
@@ -992,10 +1045,8 @@ def apply_update(sketch: IncrementalSketch, delta: Delta) -> IncrementalSketch:
         sketch._apply_delete_rows(delta)
     elif isinstance(delta, DeleteCols):
         sketch._apply_delete_cols(delta)
-    elif isinstance(delta, BlockUpdate):
-        sketch._apply_block(delta)
     else:
-        raise SketchError(f"unknown delta type {type(delta).__name__}")
+        sketch._apply_block(delta)
     sketch._cached_sketch = None
     sketch._updates_applied += 1
     metric_inc("incremental.updates")

@@ -12,7 +12,11 @@ One process serves many tenants' estimation traffic over a shared catalog:
   issue order makes server answers bit-identical to calling
   :meth:`EstimationService.submit` directly in the same order (the serving
   benchmark asserts exactly this); parallelism inside one batch still fans
-  out over :mod:`repro.parallel` worker processes;
+  out over :mod:`repro.parallel` worker processes. The one exception is a
+  single estimate whose root is already memoized, arriving while the
+  executor has nothing queued or running: the loop answers it itself,
+  which skips the thread hop and gives the same answer (a memo hit draws
+  no randomness, and no earlier request is left to change the memo);
 - a bounded **expression parse cache** keyed on canonical wire JSON hands
   repeated queries the same :class:`Expr` object, so the warm path runs
   entirely on memo hits (microseconds per estimate).
@@ -39,11 +43,17 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.catalog.service import EstimationService, ServiceRequest
-from repro.errors import EstimatorError, ProtocolError, ReproError
+from repro.core.incremental import next_shape
+from repro.errors import EstimatorError, ProtocolError, ReproError, ShapeError
 from repro.estimators.base import available_estimators
 from repro.ir.nodes import Expr
 from repro.observability.export import prometheus_exposition
-from repro.observability.metrics import metric_inc, metric_observe, metrics_snapshot
+from repro.observability.metrics import (
+    METRICS,
+    metric_inc,
+    metric_observe,
+    metrics_snapshot,
+)
 from repro.serve.protocol import (
     canonical_expr_key,
     decode_estimate_request,
@@ -62,6 +72,9 @@ DEFAULT_PORT = 8642
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Parsed-expression cache entries (wire JSON -> Expr).
 PARSE_CACHE_ENTRIES = 4096
+
+#: Estimates answered on the event loop (memo hits with nothing in flight).
+_INLINE = METRICS.cell("serve.estimate.inline")
 
 _JSON = "application/json"
 _TEXT = "text/plain; charset=utf-8"
@@ -113,6 +126,9 @@ class EstimationServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-estimate"
         )
+        #: Calls handed to the executor and not yet resumed on the loop.
+        #: Only the loop thread reads or writes it, so it needs no lock.
+        self._in_flight = 0
         self._parse_lock = threading.Lock()
         self._parse_cache: "OrderedDict[str, Expr]" = OrderedDict()
         self._started = time.time()
@@ -291,7 +307,18 @@ class EstimationServer:
         if path == "/estimate":
             if method != "POST":
                 raise _HttpError(405, "use POST /estimate")
-            payload = await self._in_executor(self._handle_estimate, _parse_json(body))
+            request = _parse_json(body)
+            if self._in_flight:
+                # Queued behind earlier work, which may change what the
+                # request decodes to: decode on the estimation thread.
+                payload = await self._in_executor(self._handle_estimate, request)
+            else:
+                request = self._decode_estimate(request)
+                if self._is_memo_hit(request):
+                    _INLINE.value += 1
+                    payload = self._answer_estimate(request)
+                else:
+                    payload = await self._in_executor(self._answer_estimate, request)
             return 200, _json_bytes(payload), _JSON
         name = _update_target(path)
         if name is not None:
@@ -304,12 +331,32 @@ class EstimationServer:
         raise _HttpError(404, f"unknown path {path!r}")
 
     async def _in_executor(self, fn, *args) -> Any:
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
+        self._in_flight += 1
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, fn, *args
+            )
+        finally:
+            self._in_flight -= 1
+
+    def _is_memo_hit(self, request: Dict[str, Any]) -> bool:
+        """Whether a decoded estimate request is a single memoized root.
+
+        Only then may the loop answer it itself: with nothing in flight no
+        earlier request can change the memo, the parse cache or the
+        registry, and a memo hit consumes no estimator randomness, so the
+        answer is the one the estimation thread would give in arrival
+        order (docs/SERVING.md, "The determinism contract").
+        """
+        return (
+            request["kind"] == "estimate"
+            and not request["include_intermediates"]
+            and self.service.is_memoized(request["expr"], request["estimator_spec"])
         )
 
     # ------------------------------------------------------------------
-    # Handlers (run on the estimation thread)
+    # Handlers (run on the estimation thread, or on the loop when it is
+    # idle: see _route)
     # ------------------------------------------------------------------
 
     def _handle_register(self, body: Dict[str, Any]) -> Dict[str, Any]:
@@ -343,22 +390,32 @@ class EstimationServer:
         }
 
     def _handle_estimate(self, body: Dict[str, Any]) -> Dict[str, Any]:
+        return self._answer_estimate(self._decode_estimate(body))
+
+    def _decode_estimate(self, body: Dict[str, Any]) -> Dict[str, Any]:
+        """Decode a ``POST /estimate`` body, replacing its wire expressions
+        with parsed :class:`Expr` objects from the parse cache."""
         request = decode_estimate_request(body)
         if request["kind"] == "estimate":
-            expr = self._parse_expr(request["expr"])
+            request["expr"] = self._parse_expr(request["expr"])
+        elif request["kind"] == "estimate_many":
+            request["exprs"] = [self._parse_expr(wire) for wire in request["exprs"]]
+        return request
+
+    def _answer_estimate(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        if request["kind"] == "estimate":
             result = self.service.submit(
                 ServiceRequest.estimate(
-                    expr,
+                    request["expr"],
                     include_intermediates=request["include_intermediates"],
                     estimator=request["estimator_spec"],
                 )
             )
             return encode_estimate_result(result)
         if request["kind"] == "estimate_many":
-            exprs = [self._parse_expr(wire) for wire in request["exprs"]]
             results = self.service.submit(
                 ServiceRequest.batch(
-                    exprs,
+                    request["exprs"],
                     workers=request["workers"],
                     estimator=request["estimator_spec"],
                 )
@@ -379,6 +436,15 @@ class EstimationServer:
 
     def _handle_update(self, name: str, body: Dict[str, Any]) -> Dict[str, Any]:
         deltas = decode_update_request(body)
+        # Check the whole batch before applying any of it: a rejected batch
+        # must leave the name untouched, or a client's retry would apply
+        # its leading deltas twice.
+        shape = self.registry.matrix(name).shape
+        for position, delta in enumerate(deltas):
+            try:
+                shape = next_shape(shape, delta)
+            except ShapeError as exc:
+                raise ProtocolError(f"delta {position}: {exc}") from None
         # Same reasoning as registration: cached parses hold the name's old
         # leaf Expr, which after a delta points at the pre-update structure.
         with self._parse_lock:

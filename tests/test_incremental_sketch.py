@@ -26,6 +26,7 @@ from repro.core.incremental import (
     apply_updates,
     delta_from_payload,
     delta_to_payload,
+    next_shape,
     random_deltas,
 )
 from repro.core.sketch import MNCSketch
@@ -83,19 +84,32 @@ def assert_sketch_fields_equal(actual: MNCSketch, expected: MNCSketch) -> None:
     assert actual.exact == expected.exact
 
 
+def assert_matrix_matches(incr: IncrementalSketch, dense: np.ndarray) -> None:
+    """``to_matrix()`` is the canonical 1.0-valued CSR of the dense state."""
+    matrix = incr.to_matrix()
+    expected = sp.csr_array(dense.astype(float))
+    assert matrix.shape == dense.shape
+    assert matrix.has_canonical_format
+    assert np.all(matrix.data == 1.0)
+    np.testing.assert_array_equal(matrix.indptr, expected.indptr)
+    np.testing.assert_array_equal(matrix.indices, expected.indices)
+
+
 def run_equivalence(dense: np.ndarray, deltas, check_every: int = 1) -> None:
-    """Drive incremental and dense states in parallel, comparing sketches."""
+    """Drive incremental and dense states in parallel, comparing sketches
+    and the rebuilt matrix."""
     incr = IncrementalSketch(sp.csr_array(dense.astype(float)))
     for step, delta in enumerate(deltas):
+        shape = next_shape(incr.shape, delta)
         apply_update(incr, delta)
         dense = dense_apply(dense, delta)
-        assert incr.shape == dense.shape
+        assert incr.shape == dense.shape == shape
         assert incr.total_nnz == int(np.count_nonzero(dense))
         if step % check_every == 0:
             assert_sketch_fields_equal(incr.sketch(), rebuild_sketch(dense))
+            assert_matrix_matches(incr, dense)
     assert_sketch_fields_equal(incr.sketch(), rebuild_sketch(dense))
-    structure = incr.to_matrix().toarray() != 0
-    np.testing.assert_array_equal(structure, dense)
+    assert_matrix_matches(incr, dense)
 
 
 def seeded_dense(seed: int, m: int = 10, n: int = 8) -> np.ndarray:
@@ -482,6 +496,7 @@ class TestCompaction:
             dense = np.vstack([dense, block])
         assert incr.stats()["compactions"] >= 1
         assert_sketch_fields_equal(incr.sketch(), rebuild_sketch(dense))
+        assert_matrix_matches(incr, dense)
 
     def test_compaction_preserves_pending_repairs(self):
         rng = np.random.default_rng(62)
@@ -493,6 +508,7 @@ class TestCompaction:
             dense = dense_apply(dense, delta)
         incr._compact()
         assert_sketch_fields_equal(incr.sketch(), rebuild_sketch(dense))
+        assert_matrix_matches(incr, dense)
 
 
 class TestDiagonalTracking:

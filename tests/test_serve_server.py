@@ -38,6 +38,11 @@ def _matrices():
 MATMUL_XW = {"op": "matmul", "inputs": [{"ref": "X"}, {"ref": "W"}]}
 
 
+def _described(client, name):
+    """The ``GET /stats`` registry entry for *name*."""
+    return next(m for m in client.stats()["matrices"] if m["name"] == name)
+
+
 class TestEndpoints:
     def test_healthz(self, server):
         client, _ = server
@@ -213,6 +218,187 @@ class TestBitIdentity:
         expected_encoded = encode_chain_solution(expected_chain)
         assert served_chain["plan"] == expected_encoded["plan"]
         assert served_chain["cost"] == expected_encoded["cost"]
+
+        # Counter parity: answering warm reads on the event loop counts
+        # exactly what the estimation thread would have counted.
+        served_catalog = client.stats()["catalog"]
+        direct_catalog = direct.stats()
+        for section, field in (
+            ("service", "requests"), ("service", "hits"),
+            ("memo", "hits"), ("memo", "misses"),
+        ):
+            assert (
+                served_catalog[section][field] == direct_catalog[section][field]
+            ), (section, field)
+
+
+class TestInlineMemoHits:
+    def test_read_never_overtakes_queued_work(self, server, monkeypatch):
+        """A warm read that arrives while an update is still running waits
+        for it and re-estimates; only a read arriving to an idle executor
+        is answered on the event loop."""
+        from repro.core.incremental import BlockUpdate
+        from repro.observability.metrics import METRICS
+        from repro.serve.protocol import decode_expr
+
+        client, srv = server
+        x, w = _matrices()
+        client.register("X", x)
+        client.register("W", w)
+        primed = client.estimate(MATMUL_XW)
+        assert client.estimate(MATMUL_XW)["cached"] is True
+
+        entered, release = threading.Event(), threading.Event()
+        original = srv.registry.apply_update
+
+        def blocking_update(name, delta):
+            entered.set()
+            release.wait(10)
+            return original(name, delta)
+
+        monkeypatch.setattr(srv.registry, "apply_update", blocking_update)
+        delta = BlockUpdate(0, 0, x[:2, :2].toarray() == 0)
+        replies = {}
+
+        def post(key, call):
+            own = ServeClient(client.host, client.port)
+            try:
+                replies[key] = call(own)
+            finally:
+                own.close()
+
+        updater = threading.Thread(
+            target=post, args=("update", lambda c: c.apply_update("X", delta))
+        )
+        updater.start()
+        assert entered.wait(10)
+        reader = threading.Thread(
+            target=post, args=("read", lambda c: c.estimate(MATMUL_XW))
+        )
+        reader.start()
+        reader.join(0.3)
+        assert reader.is_alive() and "read" not in replies
+        release.set()
+        updater.join(10)
+        reader.join(10)
+        assert not updater.is_alive() and not reader.is_alive()
+
+        direct = EstimationService()
+        registry = MatrixRegistry(direct)
+        registry.register("X", x)
+        registry.register("W", w)
+
+        def direct_estimate():
+            return direct.submit(
+                ServiceRequest.estimate(decode_expr(MATMUL_XW, registry.resolve))
+            )
+
+        direct_estimate()
+        direct_estimate()
+        assert registry.apply_update("X", delta) == replies["update"]["fingerprint"]
+        expected = direct_estimate()
+        read = replies["read"]
+        assert read["cached"] is False
+        assert read["fingerprint"] == expected["fingerprint"] != primed["fingerprint"]
+        assert read["nnz"] == expected["nnz"]
+
+        inline = METRICS.cell("serve.estimate.inline")
+        before = inline.value
+        third = client.estimate(MATMUL_XW)
+        assert third["cached"] is True
+        assert third["fingerprint"] == read["fingerprint"]
+        assert inline.value == before + 1
+
+    def test_concurrent_reads_and_updates_stay_serial(self, server):
+        """Readers racing an updater on more threads than cores, with a
+        short switch interval: every version of the root is estimated
+        exactly once, and every answer for a version agrees with it."""
+        import sys
+
+        from repro.core.incremental import BlockUpdate
+
+        from repro.observability.metrics import METRICS
+
+        client, _ = server
+        x, w = _matrices()
+        client.register("X", x)
+        client.register("W", w)
+        answers, errors = [], []
+        before = client.stats()["catalog"]["service"]
+        inline = METRICS.cell("serve.estimate.inline")
+        inline_before = inline.value
+
+        def reader():
+            own = ServeClient(client.host, client.port)
+            try:
+                for _ in range(40):
+                    answers.append(own.estimate(MATMUL_XW))
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+            finally:
+                own.close()
+
+        def updater():
+            own = ServeClient(client.host, client.port)
+            rng = np.random.default_rng(5)
+            try:
+                for _ in range(8):
+                    own.apply_update("X", BlockUpdate(1, 2, rng.random((3, 3)) < 0.5))
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+            finally:
+                own.close()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            threads.append(threading.Thread(target=updater))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        by_version = {}
+        for answer in answers:
+            by_version.setdefault(answer["fingerprint"], []).append(answer)
+        for version in by_version.values():
+            assert sum(not a["cached"] for a in version) == 1
+            assert len({a["nnz"] for a in version}) == 1
+        # No counter update was lost between the loop and the executor.
+        after = client.stats()["catalog"]["service"]
+        hits = sum(a["cached"] for a in answers)
+        assert after["requests"] - before["requests"] == len(answers) == 160
+        assert after["hits"] - before["hits"] == hits
+        assert inline.value - inline_before <= hits
+
+    @pytest.mark.parametrize("selection", [
+        {}, {"estimator": "meta_ac"}, {"tolerance": 0.3},
+    ], ids=["default", "meta_ac", "routed"])
+    def test_only_warm_single_estimates_are_inline(self, server, selection):
+        """Only the repeat of a single estimate is answered on the loop,
+        for the service's own estimator, a per-request one and a routed
+        one alike, and its answer equals the executor's first answer."""
+        from repro.observability.metrics import METRICS
+
+        client, _ = server
+        x, w = _matrices()
+        client.register("X", x)
+        client.register("W", w)
+        inline = METRICS.cell("serve.estimate.inline")
+        before = inline.value
+        cold = client.estimate(MATMUL_XW, **selection)
+        client.estimate(MATMUL_XW, include_intermediates=True, **selection)
+        client.estimate_batch([MATMUL_XW], **selection)
+        assert inline.value == before
+        warm = client.estimate(MATMUL_XW, **selection)
+        assert inline.value == before + 1
+        assert warm["cached"] is True and cold["cached"] is False
+        assert warm["nnz"] == cold["nnz"]
+        assert warm.get("router") == cold.get("router")
 
 
 class TestErrors:
@@ -407,6 +593,39 @@ class TestStreamingUpdates:
         with pytest.raises(ServeClientError) as excinfo:
             client.apply_update("X", DeleteRows([10_000]))
         assert excinfo.value.status == 400
+
+    def test_rejected_batch_applies_nothing(self, server):
+        """A batch whose second delta does not fit is refused whole: the
+        name, its nnz and a memoized estimate over it are unchanged, so
+        the valid delta alone then applies exactly once."""
+        from repro.core.incremental import BlockUpdate
+
+        client, _ = server
+        x = random_sparse(30, 20, 0.2, seed=21)
+        w = random_sparse(20, 15, 0.2, seed=22)
+        client.register("X", x)
+        client.register("W", w)
+        before = _described(client, "X")
+        primed = client.estimate(MATMUL_XW)
+
+        valid = BlockUpdate(0, 0, x[:2, :2].toarray() == 0)
+        past_edge = BlockUpdate(29, 19, np.ones((2, 2)))
+        with pytest.raises(ServeClientError) as excinfo:
+            client.apply_updates("X", [valid, past_edge])
+        assert excinfo.value.status == 400
+        assert _described(client, "X") == before
+        assert "delta 1" in excinfo.value.message
+        warm = client.estimate(MATMUL_XW)
+        assert warm["cached"] is True
+        assert warm["nnz"] == primed["nnz"]
+        assert warm["fingerprint"] == primed["fingerprint"]
+
+        reply = client.apply_updates("X", [valid])
+        direct = MatrixRegistry(EstimationService())
+        direct.register("X", x)
+        assert reply["fingerprint"] == direct.apply_update("X", valid)
+        assert reply["nnz"] == direct.matrix("X").nnz != before["nnz"]
+        assert reply["shape"] == [30, 20]
 
     def test_update_malformed_payload_400(self, server):
         client, _ = server
