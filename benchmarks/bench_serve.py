@@ -28,7 +28,7 @@ import numpy as np
 
 from conftest import bench_scale, write_bench_json
 from repro.catalog.service import EstimationService, ServiceRequest
-from repro.catalog.sharded import ShardedSketchStore
+from repro.catalog.store import SketchStore
 from repro.matrix.random import random_sparse
 from repro.serve import EstimationServer, MatrixRegistry, ServeClient, start_server_thread
 from repro.serve.protocol import decode_expr, encode_chain_solution
@@ -177,7 +177,7 @@ def run_serve_benchmark(scale: float | None = None) -> dict:
 
     identity = []
     for workers in WORKER_COUNTS:
-        service = EstimationService(store=ShardedSketchStore(num_shards=4))
+        service = EstimationService(store=SketchStore(num_shards=4))
         handle = start_server_thread(EstimationServer(service=service, port=0))
         client = ServeClient(handle.host, handle.port)
         try:
@@ -187,7 +187,7 @@ def run_serve_benchmark(scale: float | None = None) -> dict:
             client.close()
             handle.stop()
 
-    service = EstimationService(store=ShardedSketchStore(num_shards=4))
+    service = EstimationService(store=SketchStore(num_shards=4))
     handle = start_server_thread(EstimationServer(service=service, port=0))
     client = ServeClient(handle.host, handle.port)
     try:

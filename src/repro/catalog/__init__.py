@@ -7,13 +7,12 @@ optimization. This subsystem turns that into a serving-shaped architecture:
 - :mod:`repro.catalog.fingerprint` — stable structural fingerprints for
   matrices, sketches, and expression DAG nodes (content hash over shape +
   index digests, recursive over DAG structure);
-- :mod:`repro.catalog.store` — a thread-safe, byte-budgeted LRU
-  :class:`SketchStore` with optional ``.npz`` disk spill, warm start, and
-  persistence built on :mod:`repro.core.serialize`;
-- :mod:`repro.catalog.sharded` — :class:`ShardedSketchStore`, the same
-  store interface partitioned by fingerprint prefix across independently
-  locked shards with per-shard budgets, a TTL demotion tier, and
-  concurrent warm start — the serving tier's store;
+- :mod:`repro.catalog.store` — :class:`SketchStore`, the one sketch
+  store: thread-safe, byte-budgeted LRU, optionally partitioned by
+  fingerprint prefix across independently locked shards
+  (``num_shards``) and topped by a TTL demotion tier (``ttl_seconds``),
+  with ``.npz`` disk spill, concurrent warm start, and persistence built
+  on :mod:`repro.core.serialize`;
 - :mod:`repro.catalog.memo` — :class:`EstimateMemo`, memoized estimation
   results keyed on ``(fingerprint, estimator, tag)`` with explicit
   invalidation;
@@ -42,7 +41,6 @@ from repro.catalog.fingerprint import (
 )
 from repro.catalog.memo import EstimateMemo
 from repro.catalog.service import EstimationService, ServiceRequest
-from repro.catalog.sharded import ShardedSketchStore, ShardRouter
 from repro.catalog.store import DEFAULT_BUDGET_BYTES, SketchStore, StoreStats
 
 __all__ = [
@@ -51,8 +49,6 @@ __all__ = [
     "EstimationService",
     "ServiceRequest",
     "FINGERPRINT_VERSION",
-    "ShardRouter",
-    "ShardedSketchStore",
     "SketchStore",
     "StoreStats",
     "assign_fingerprint",

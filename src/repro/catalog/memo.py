@@ -8,10 +8,11 @@ are structural (:mod:`repro.catalog.fingerprint`), a memoized result
 survives rebuilding the expression from scratch: the SparsEst runner uses
 exactly this to keep ground-truth nnz across per-seed DAG reconstructions.
 
-The memo is thread-safe, LRU-bounded by entry count (results are scalars or
-small objects; a byte budget would be overkill), and supports explicit
-invalidation by fingerprint and/or estimator — the hook for workloads where
-a registered matrix is replaced under the same logical name.
+The memo is thread-safe, LRU-bounded by entry count only (no byte budget,
+although propagated synopses are large — see :data:`DEFAULT_MAX_ENTRIES`),
+and supports explicit invalidation by fingerprint and/or estimator — the
+hook for workloads where a registered matrix is replaced under the same
+logical name.
 
 Concurrency contract (the serving tier leans on all three):
 
@@ -38,7 +39,10 @@ from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro.observability.metrics import metric_inc, metric_set
 
-#: Default entry bound; estimates are tiny, so this is ~megabytes.
+#: Default entry bound. Root estimates are scalars or small route payloads,
+#: but the service also memoizes every propagated synopsis, and an MNC
+#: synopsis of an m x n intermediate holds O(m + n) counts (~0.3-0.6 MB at
+#: 20000 x 20000), so a full memo can reach tens of GB.
 DEFAULT_MAX_ENTRIES = 65536
 
 _MISSING = object()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import tempfile
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.catalog.fingerprint import (
@@ -133,16 +133,20 @@ class EstimationService:
             :class:`~repro.estimators.spec.EstimatorSpec` (or the dict/str
             forms it parses — ``"auto"`` selects adaptive routing), or an
             estimator instance (default MNC).
-        store: sketch store to use/share (any object speaking the
-            :class:`SketchStore` protocol, including
-            :class:`~repro.catalog.sharded.ShardedSketchStore`); a fresh
-            in-memory :class:`SketchStore` by default.
+        store: sketch store to use/share; a fresh in-memory
+            single-shard :class:`SketchStore` by default.
         memo: result memo to use/share; fresh by default.
         pool: persistent :class:`~repro.parallel.engine.WorkerPool` for
             parallel batches; ``None`` keeps the historical per-call pool.
-        policy: learned :class:`~repro.router.RoutingPolicy` for
-            ``estimator="auto"``; defaults to the policy persisted next to
-            the store's spill directory (when any), else a fresh one.
+        policy: learned :class:`~repro.router.RoutingPolicy` shared by
+            every ``auto`` route (the service's own and per-request ones);
+            defaults to the policy persisted next to the store's spill
+            directory (when any), else a fresh one.
+
+    A request may name its own :class:`EstimatorSpec`; the service answers
+    it with one estimator instance per ``spec.key`` (one router per auto
+    ``spec.key``), made on first use and kept, over the same store, memo
+    and counters.
     """
 
     def __init__(
@@ -158,19 +162,21 @@ class EstimationService:
         self.pool = pool
         self.router = None
         self.spec: Optional[EstimatorSpec] = None
+        self._policy = policy
+        # Guards the counters and the per-spec table: services are shared
+        # across server threads, and unsynchronized += drops increments.
+        self._lock = threading.Lock()
+        self._requests = 0
+        self._hits = 0
+        #: Per-request spec key -> what :meth:`_resolve` returns for it.
+        self._per_spec: Dict[str, Tuple[Any, str, str]] = {}
         if isinstance(estimator, SparsityEstimator):
             self.estimator = estimator
         else:
             spec = EstimatorSpec.parse(estimator)
             self.spec = spec
             if spec.is_auto:
-                from repro.router import AdaptiveRouter, RoutingPolicy
-
-                if policy is None:
-                    policy = RoutingPolicy.load(
-                        getattr(self.store, "spill_dir", None)
-                    )
-                self.router = AdaptiveRouter.from_spec(spec, policy=policy)
+                self.router = self._make_router(spec)
                 # Registration and chain optimization still go through the
                 # canonical MNC sketch (the store's shareable artifact);
                 # only estimation requests are routed.
@@ -179,14 +185,6 @@ class EstimationService:
                 self.estimator = spec.make()
         #: Logical name -> fingerprint for matrices registered with a name.
         self.names: Dict[str, str] = {}
-        # Counter lock: services are shared across server threads, and
-        # unsynchronized += would drop increments under contention.
-        self._counter_lock = threading.Lock()
-        self._requests = 0
-        self._hits = 0
-        #: Per-request estimator overrides resolve to cached sibling
-        #: services sharing this one's store/memo/pool/names.
-        self._derived: Dict[str, "EstimationService"] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -300,11 +298,6 @@ class EstimationService:
         for ``"estimate_many"``, and the optimizer's plan object for
         ``"optimize_chain"``.
         """
-        if request.estimator is not None:
-            service = self._service_for(request.estimator)
-            request = replace(request, estimator=None)
-            if service is not self:
-                return service.submit(request)
         metric_inc(f"catalog.service.requests.{request.kind}")
         if request.kind == "estimate":
             if len(request.exprs) != 1:
@@ -313,11 +306,13 @@ class EstimationService:
                     f"got {len(request.exprs)} (use ServiceRequest.batch)"
                 )
             return self._estimate_one(
-                request.exprs[0],
+                request.exprs[0], request.estimator,
                 include_intermediates=request.include_intermediates,
             )
         if request.kind == "estimate_many":
-            return self._estimate_batch(request.exprs, workers=request.workers)
+            return self._estimate_batch(
+                request.exprs, request.estimator, workers=request.workers
+            )
         if request.kind == "optimize_chain":
             from repro.optimizer.mmchain import optimize_chain_matrices
 
@@ -327,32 +322,41 @@ class EstimationService:
             )
         raise ReproError(f"unknown ServiceRequest kind {request.kind!r}")
 
-    def _service_for(self, spec: EstimatorSpec) -> "EstimationService":
-        """The service answering requests for *spec*: this one when the
-        spec matches, else a cached sibling sharing store/memo/pool/names
-        (so every cross-estimator cache layer stays shared)."""
-        if self.spec is not None and spec == self.spec:
-            return self
-        derived = self._derived.get(spec.key)
-        if derived is None:
-            shared_policy = None
-            if spec.is_auto:
-                # All auto routes against one service share one policy, no
-                # matter which tolerance each request asked for.
-                routers = [self.router] + [
-                    d.router for d in self._derived.values()
-                ]
-                for router in routers:
-                    if router is not None:
-                        shared_policy = router.policy
-                        break
-            derived = EstimationService(
-                estimator=spec, store=self.store, memo=self.memo,
-                pool=self.pool, policy=shared_policy,
-            )
-            derived.names = self.names
-            self._derived[spec.key] = derived
-        return derived
+    def _resolve(
+        self, spec: Optional[EstimatorSpec]
+    ) -> Tuple[Any, str, str]:
+        """``(estimator or router, memo key, memo tag)`` answering *spec*
+        (``None``: this service's own estimator).
+
+        Plain estimators memoize roots under their ``name`` with tag
+        ``"nnz"``; routers memoize ``(nnz, router payload)`` under the
+        spec's canonical key with tag ``"route"``, so an ``auto`` request
+        at one tolerance never answers a request at another.
+        """
+        if spec is None or spec == self.spec:
+            if self.router is not None:
+                return self.router, self.spec.key, "route"
+            return self.estimator, self._estimator_key(self.estimator), "nnz"
+        with self._lock:
+            resolved = self._per_spec.get(spec.key)
+            if resolved is None:
+                if spec.is_auto:
+                    resolved = (self._make_router(spec), spec.key, "route")
+                else:
+                    estimator = spec.make()
+                    resolved = (estimator, self._estimator_key(estimator), "nnz")
+                self._per_spec[spec.key] = resolved
+        return resolved
+
+    def _make_router(self, spec: EstimatorSpec):
+        """A router for *spec* over the service's one routing policy."""
+        from repro.router import AdaptiveRouter, RoutingPolicy
+
+        if self._policy is None:
+            self._policy = RoutingPolicy.load(self.store.spill_dir)
+        router = AdaptiveRouter.from_spec(spec, policy=self._policy)
+        self._policy = router.policy
+        return router
 
     def is_memoized(
         self, expr: Expr, spec: Optional[EstimatorSpec] = None
@@ -364,12 +368,8 @@ class EstimationService:
         a caller that checks before :meth:`submit` reads every counter
         exactly as one that only submitted.
         """
-        service = self if spec is None else self._service_for(spec)
-        if service.router is not None:
-            key, tag = service.spec.key, "route"
-        else:
-            key, tag = self._estimator_key(service.estimator), "nnz"
-        return (fingerprint_expr(expr), key, tag) in service.memo
+        _, key, tag = self._resolve(spec)
+        return (fingerprint_expr(expr), key, tag) in self.memo
 
     def estimate(
         self, expr: Expr, include_intermediates: bool = False
@@ -386,117 +386,60 @@ class EstimationService:
         ))
 
     def _estimate_one(
-        self, expr: Expr, include_intermediates: bool = False
+        self, expr: Expr, spec: Optional[EstimatorSpec] = None,
+        include_intermediates: bool = False,
     ) -> Dict[str, Any]:
         from repro.ir.estimate import estimate_dag
 
-        if self.router is not None:
-            return self._estimate_routed(
-                expr, include_intermediates=include_intermediates
-            )
+        resolved, estimator_key, tag = self._resolve(spec)
         root_fingerprint = fingerprint_expr(expr)
-        estimator_key = self._estimator_key(self.estimator)
-        with self._counter_lock:
+        with self._lock:
             self._requests += 1
         with timed_span(
             "catalog.service.estimate", estimator=estimator_key
         ) as span:
-            nnz = (
+            value = (
                 None
                 if include_intermediates
-                else self.memo.get(root_fingerprint, estimator_key, "nnz")
+                else self.memo.get(root_fingerprint, estimator_key, tag)
             )
             intermediates = None
-            if nnz is None:
-                full = estimate_dag(
-                    expr,
-                    self.estimator,
-                    include_intermediates=include_intermediates,
-                    catalog=self,
-                )
-                nnz = full["nnz"]
-                intermediates = full.get("intermediates")
+            if value is None:
+                if tag == "route":
+                    nnz, decision = resolved.route(expr, catalog=self)
+                    value = (nnz, decision.to_payload())
+                    if include_intermediates:
+                        tier_estimator = resolved.make_tier_estimator(
+                            expr, decision.tier
+                        )
+                        intermediates = estimate_dag(
+                            expr, tier_estimator, include_intermediates=True
+                        ).get("intermediates")
+                else:
+                    full = estimate_dag(
+                        expr,
+                        resolved,
+                        include_intermediates=include_intermediates,
+                        catalog=self,
+                    )
+                    value = full["nnz"]
+                    intermediates = full.get("intermediates")
                 self.memo.put(
-                    root_fingerprint, estimator_key, "nnz", nnz,
+                    root_fingerprint, estimator_key, tag, value,
                     depends_on=_leaf_fingerprints(expr),
                 )
                 cached = False
                 metric_inc("catalog.service.miss")
             else:
-                with self._counter_lock:
+                with self._lock:
                     self._hits += 1
                 cached = True
                 metric_inc("catalog.service.hit")
+            nnz, router_meta = value if tag == "route" else (value, None)
             span.annotate(cached=cached, result_nnz=float(nnz))
-        m, n = expr.shape
-        result: Dict[str, Any] = {
-            "nnz": nnz,
-            "sparsity": nnz / (m * n) if m and n else 0.0,
-            "seconds": span.seconds,
-            "fingerprint": root_fingerprint,
-            "cached": cached,
-        }
-        if intermediates is not None:
-            result["intermediates"] = intermediates
-        return result
-
-    def _estimate_routed(
-        self, expr: Expr, include_intermediates: bool = False
-    ) -> Dict[str, Any]:
-        """Adaptive-router analogue of the single-expression path.
-
-        Memoizes ``(nnz, router payload)`` under the spec's canonical key
-        with the ``"route"`` tag, so an ``auto`` request at one tolerance
-        never answers a request at another.
-        """
-        root_fingerprint = fingerprint_expr(expr)
-        estimator_key = self.spec.key
-        with self._counter_lock:
-            self._requests += 1
-        with timed_span(
-            "catalog.service.estimate", estimator=estimator_key
-        ) as span:
-            cached_value = (
-                None
-                if include_intermediates
-                else self.memo.get(root_fingerprint, estimator_key, "route")
-            )
-            intermediates = None
-            if cached_value is None:
-                nnz, decision = self.router.route(expr, catalog=self)
-                router_meta = decision.to_payload()
-                self.memo.put(
-                    root_fingerprint, estimator_key, "route",
-                    (nnz, router_meta), depends_on=_leaf_fingerprints(expr),
-                )
-                cached = False
-                metric_inc("catalog.service.miss")
-                if include_intermediates:
-                    from repro.ir.estimate import estimate_dag
-
-                    tier_estimator = self.router.make_tier_estimator(
-                        expr, decision.tier
-                    )
-                    full = estimate_dag(
-                        expr, tier_estimator, include_intermediates=True
-                    )
-                    intermediates = full.get("intermediates")
-            else:
-                nnz, router_meta = cached_value
-                with self._counter_lock:
-                    self._hits += 1
-                cached = True
-                metric_inc("catalog.service.hit")
-            span.annotate(cached=cached, result_nnz=float(nnz))
-        m, n = expr.shape
-        result: Dict[str, Any] = {
-            "nnz": nnz,
-            "sparsity": nnz / (m * n) if m and n else 0.0,
-            "seconds": span.seconds,
-            "fingerprint": root_fingerprint,
-            "cached": cached,
-            "router": dict(router_meta),
-        }
+        result = _result(
+            expr, root_fingerprint, nnz, span.seconds, cached, router_meta
+        )
         if intermediates is not None:
             result["intermediates"] = intermediates
         return result
@@ -521,7 +464,8 @@ class EstimationService:
         return self.submit(ServiceRequest.batch(exprs, workers=workers))
 
     def _estimate_batch(
-        self, exprs: Sequence[Expr], workers: Optional[int] = None
+        self, exprs: Sequence[Expr], spec: Optional[EstimatorSpec] = None,
+        workers: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
         exprs = list(exprs)
         workers = resolve_workers(workers)
@@ -529,11 +473,11 @@ class EstimationService:
             "catalog.service.batch", size=len(exprs), workers=workers
         ):
             if workers <= 1 or len(exprs) <= 1:
-                return [self._estimate_one(expr) for expr in exprs]
-            return self._estimate_batch_parallel(exprs, workers)
+                return [self._estimate_one(expr, spec) for expr in exprs]
+            return self._estimate_batch_parallel(exprs, spec, workers)
 
     def _estimate_batch_parallel(
-        self, exprs: List[Expr], workers: int
+        self, exprs: List[Expr], spec: Optional[EstimatorSpec], workers: int
     ) -> List[Dict[str, Any]]:
         """Fan uncached roots out to worker processes via shared spill.
 
@@ -541,11 +485,8 @@ class EstimationService:
         repeat in the batch is answered from the first one's result as a
         memo hit, exactly as the serial path answers it.
         """
-        routed = self.router is not None
-        tag = "route" if routed else "nnz"
-        estimator_key = (
-            self.spec.key if routed else self._estimator_key(self.estimator)
-        )
+        _, estimator_key, tag = self._resolve(spec)
+        routed = tag == "route"
         results: List[Optional[Dict[str, Any]]] = [None] * len(exprs)
         pending: List[Tuple[int, Expr, str]] = []
         first_index: Dict[str, int] = {}
@@ -565,9 +506,9 @@ class EstimationService:
             results[i] = self._batch_hit(expr, fingerprint, nnz, router_meta)
         if len(pending) == 1:
             index, expr, _ = pending[0]
-            results[index] = self._estimate_one(expr)
+            results[index] = self._estimate_one(expr, spec)
         elif pending:
-            self._fan_out(pending, results, workers, routed, estimator_key, tag)
+            self._fan_out(pending, results, workers, spec)
         for index, expr, fingerprint in repeats:
             first = results[first_index[fingerprint]]
             results[index] = self._batch_hit(
@@ -580,28 +521,19 @@ class EstimationService:
         router_meta: Optional[Dict[str, Any]],
     ) -> Dict[str, Any]:
         """A batch answer served without estimation, counted as a hit."""
-        with self._counter_lock:
+        with self._lock:
             self._requests += 1
             self._hits += 1
         metric_inc("catalog.service.hit")
-        m, n = expr.shape
-        result = {
-            "nnz": nnz,
-            "sparsity": nnz / (m * n) if m and n else 0.0,
-            "seconds": 0.0,
-            "fingerprint": fingerprint,
-            "cached": True,
-        }
-        if router_meta is not None:
-            result["router"] = dict(router_meta)
-        return result
+        return _result(expr, fingerprint, nnz, 0.0, True, router_meta)
 
     def _fan_out(
         self, pending: List[Tuple[int, Expr, str]],
         results: List[Optional[Dict[str, Any]]], workers: int,
-        routed: bool, estimator_key: str, tag: str,
+        spec: Optional[EstimatorSpec],
     ) -> None:
         """Estimate *pending* roots in worker processes into *results*."""
+        resolved, estimator_key, tag = self._resolve(spec)
         directory = self.store.spill_dir
         cleanup = None
         if directory is None:
@@ -613,22 +545,19 @@ class EstimationService:
             # whose state lives in the memo instead).
             if len(self.store):
                 self.store.persist(directory)
-            portables = [
-                (spill_dag(expr, directory), fingerprint)
-                for _, expr, fingerprint in pending
-            ]
-            if routed:
+            if tag == "route":
                 # Workers route against the frozen policy snapshot this
                 # service would use, so parallel and serial batches take
                 # bit-identical routes.
                 shipped: Any = (
-                    _AUTO_TASK, self.spec, self.router.policy.snapshot()
+                    _AUTO_TASK, spec if spec is not None else self.spec,
+                    resolved.policy.snapshot(),
                 )
             else:
-                shipped = self.estimator
+                shipped = resolved
             tasks = [
-                (shipped, str(directory), portable)
-                for portable, _ in portables
+                (shipped, str(directory), spill_dag(expr, directory))
+                for _, expr, _ in pending
             ]
             task_results = run_tasks(
                 _estimate_worker, tasks, workers=workers,
@@ -639,14 +568,14 @@ class EstimationService:
                     # Worker died: recover deterministically in-process
                     # (_estimate_one does its own counting and memoization).
                     metric_inc("catalog.service.fanout_retries")
-                    results[index] = self._estimate_one(expr)
+                    results[index] = self._estimate_one(expr, spec)
                     continue
-                with self._counter_lock:
+                with self._lock:
                     self._requests += 1
                 metric_inc("catalog.service.miss")
                 result = dict(outcome.value)
                 value = (
-                    (result["nnz"], result["router"]) if routed
+                    (result["nnz"], result["router"]) if tag == "route"
                     else result["nnz"]
                 )
                 self.memo.put(
@@ -738,20 +667,20 @@ class EstimationService:
         written = self.store.persist(directory)
         router = self._router()
         if router is not None:
-            target = directory if directory is not None else getattr(
-                self.store, "spill_dir", None
-            )
+            target = directory if directory is not None else self.store.spill_dir
             if target is not None:
                 router.policy.save(str(target))
         return written
 
     def _router(self):
-        """The active router: this service's, or the first derived one."""
+        """The active router: this service's, or the first per-request one."""
         if self.router is not None:
             return self.router
-        for derived in self._derived.values():
-            if derived.router is not None:
-                return derived.router
+        with self._lock:
+            per_spec = list(self._per_spec.values())
+        for resolved, _, tag in per_spec:
+            if tag == "route":
+                return resolved
         return None
 
     def invalidate(self, target: Union[str, MatrixLike]) -> None:
@@ -771,14 +700,11 @@ class EstimationService:
     def stats(self) -> Dict[str, Any]:
         """Combined service/store/memo cache-effectiveness counters.
 
-        Requests answered by derived (per-request estimator) siblings are
-        folded in; a ``router`` section appears whenever adaptive routing
-        is active on this service or any sibling.
+        A ``router`` section appears whenever adaptive routing is active,
+        for the service's own estimator or any per-request spec.
         """
-        requests = self._requests + sum(
-            d._requests for d in self._derived.values()
-        )
-        hits = self._hits + sum(d._hits for d in self._derived.values())
+        with self._lock:
+            requests, hits = self._requests, self._hits
         payload: Dict[str, Any] = {
             "service": {
                 "requests": requests,
@@ -809,6 +735,24 @@ class EstimationService:
         return isinstance(inner, MNCEstimator) and getattr(
             inner, "use_extensions", False
         )
+
+
+def _result(
+    expr: Expr, fingerprint: str, nnz: float, seconds: float, cached: bool,
+    router_meta: Optional[Mapping[str, Any]],
+) -> Dict[str, Any]:
+    """The result dict of one root estimate (``router`` only when routed)."""
+    m, n = expr.shape
+    result: Dict[str, Any] = {
+        "nnz": nnz,
+        "sparsity": nnz / (m * n) if m and n else 0.0,
+        "seconds": seconds,
+        "fingerprint": fingerprint,
+        "cached": cached,
+    }
+    if router_meta is not None:
+        result["router"] = dict(router_meta)
+    return result
 
 
 def _leaf_fingerprints(expr: Expr) -> Tuple[str, ...]:

@@ -863,8 +863,7 @@ def _cmd_serve(
     from pathlib import Path
 
     from repro.catalog.service import EstimationService
-    from repro.catalog.sharded import ShardedSketchStore
-    from repro.catalog.store import DEFAULT_BUDGET_BYTES
+    from repro.catalog.store import DEFAULT_BUDGET_BYTES, SketchStore
     from repro.estimators.spec import EstimatorSpec
     from repro.parallel import WorkerPool, resolve_workers
     from repro.serve.server import EstimationServer
@@ -882,7 +881,7 @@ def _cmd_serve(
     if catalog is not None:
         spill_dir = Path(catalog)
         spill_dir.mkdir(parents=True, exist_ok=True)
-    store = ShardedSketchStore(
+    store = SketchStore(
         num_shards=shards,
         budget_bytes=budget_bytes if budget_bytes is not None else DEFAULT_BUDGET_BYTES,
         spill_dir=spill_dir,

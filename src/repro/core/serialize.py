@@ -9,6 +9,8 @@ exact and validated on load by the :class:`MNCSketch` constructor.
 
 from __future__ import annotations
 
+import os
+import threading
 from pathlib import Path
 from typing import Dict
 
@@ -79,10 +81,29 @@ def sketch_from_arrays(arrays) -> MNCSketch:
 
 
 def save_sketch(path: str | Path, sketch: MNCSketch) -> None:
-    """Write a sketch to *path* in ``.npz`` form."""
+    """Write a sketch to *path* in ``.npz`` form.
+
+    Like ``np.savez``, appends ``.npz`` when *path* lacks it. The file is
+    written beside the target under a name unique to this thread and
+    renamed onto it, so a reader (or a catalog warm start) never sees a
+    torn file under the key, even when the write fails or the process dies
+    midway. The temporary name does not end in ``.npz``, so catalog scans
+    skip it.
+    """
     target = Path(path)
+    if target.suffix != ".npz":
+        target = target.with_name(f"{target.name}.npz")
     target.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(target, **sketch_to_arrays(sketch))
+    temp = target.with_name(
+        f".{target.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+    )
+    try:
+        with open(temp, "wb") as stream:
+            np.savez(stream, **sketch_to_arrays(sketch))
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def load_sketch(path: str | Path) -> MNCSketch:

@@ -4,7 +4,8 @@ The paper's deployment story — sketch once (possibly distributed), consult
 many times during optimization — becomes a long-running process here: an
 asyncio HTTP/JSON server (stdlib only, no framework) in front of one
 :class:`~repro.catalog.service.EstimationService` backed by a
-:class:`~repro.catalog.sharded.ShardedSketchStore`.
+fingerprint-sharded :class:`~repro.catalog.store.SketchStore`
+(``num_shards``, default 8 under ``repro serve``).
 
 - :mod:`repro.serve.protocol` — the JSON wire format: matrix payloads
   (COO structure or dense), expression trees with ``{"ref": name}``

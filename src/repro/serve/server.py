@@ -479,17 +479,14 @@ class EstimationServer:
         return expr
 
     def _stats_payload(self) -> Dict[str, Any]:
-        payload = {
+        return {
             "uptime_seconds": time.time() - self._started,
             "matrices": self.registry.describe(),
             "catalog": self.service.stats(),
             "parse_cache_entries": len(self._parse_cache),
+            "store_shards": self.service.store.num_shards,
+            "ttl_evictions": self.service.store.ttl_evictions,
         }
-        store = self.service.store
-        if hasattr(store, "num_shards"):
-            payload["store_shards"] = store.num_shards
-            payload["ttl_evictions"] = getattr(store, "ttl_evictions", 0)
-        return payload
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.serialize import sketch_to_arrays
 from repro.matrix.conversion import as_csr
 from repro.matrix.random import random_sparse
 
@@ -43,6 +46,22 @@ def paper_example() -> tuple[sp.csr_array, sp.csr_array]:
     b[6, 0] = 1
     b[8, [1, 2]] = 1
     return as_csr(a), as_csr(b)
+
+
+class _FullDisk:
+    """An array payload whose write fails like a full disk."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def full_disk_after_header(sketch):
+    """A stand-in for ``repro.core.serialize.sketch_to_arrays`` whose npz
+    write fails after the ``version`` and ``shape`` members (a full disk or
+    a killed writer)."""
+    arrays = sketch_to_arrays(sketch)
+    return {"version": arrays["version"], "shape": arrays["shape"],
+            "hr": _FullDisk()}
 
 
 def assert_structure_equal(actual, expected) -> None:

@@ -119,6 +119,145 @@ class TestEstimate:
         assert hits >= 1  # ... but the shared gram synopsis was a memo hit
 
 
+class TestMixedSpecs:
+    """One service answers per-request specs exactly as separate services,
+    one per spec, over one shared store, memo and routing policy would."""
+
+    MNC7 = ({"name": "mnc", "seed": 7}, None)
+    SAMPLING7 = ({"name": "sampling", "seed": 7}, None)
+    LAYERED7 = ({"name": "layered_graph", "seed": 7}, None)
+    AUTO_LOOSE = ("auto", 0.4)
+    AUTO_TIGHT = ("auto", 0.2)
+    DEFAULT = (None, None)
+    META_AC = ("meta_ac", None)
+
+    #: (spec, expression); sampling and layered_graph see single products
+    #: only. Each spec computes more than one distinct root, so an
+    #: estimator's random stream must carry over between its requests.
+    SEQUENCE = [
+        (DEFAULT, "ab"), (META_AC, "ab"), (MNC7, "abc"), (SAMPLING7, "bc"),
+        (AUTO_LOOSE, "ab"), (DEFAULT, "abc"), (LAYERED7, "ab"),
+        (MNC7, "bcd"), (SAMPLING7, "cd"), (AUTO_TIGHT, "abc"),
+        (META_AC, "bcd"), (AUTO_LOOSE, "bcd"), (DEFAULT, "ab"),
+        (MNC7, "abc"), (LAYERED7, "cd"), (SAMPLING7, "ab"),
+        (AUTO_TIGHT, "abc"), (AUTO_LOOSE, "ab"), (META_AC, "ab"),
+        (DEFAULT, "bcd"), (LAYERED7, "bc"), (AUTO_TIGHT, "cd"),
+        (SAMPLING7, "bc"), (MNC7, "cd"),
+    ]
+
+    @staticmethod
+    def _exprs():
+        a = random_sparse(60, 50, 0.08, seed=11)
+        b = random_sparse(50, 40, 0.08, seed=12)
+        c = random_sparse(40, 45, 0.08, seed=13)
+        d = random_sparse(45, 30, 0.08, seed=14)
+        # Factories, so every request gets a freshly built expression.
+        return {
+            "ab": lambda: matmul(leaf(a), leaf(b)),
+            "bc": lambda: matmul(leaf(b), leaf(c)),
+            "cd": lambda: matmul(leaf(c), leaf(d)),
+            "abc": lambda: matmul(matmul(leaf(a), leaf(b)), leaf(c)),
+            "bcd": lambda: matmul(matmul(leaf(b), leaf(c)), leaf(d)),
+        }
+
+    def test_one_service_matches_per_spec_services(self):
+        from repro.catalog.memo import EstimateMemo
+        from repro.catalog.service import ServiceRequest
+        from repro.router import RoutingPolicy
+
+        exprs = self._exprs()
+        one = EstimationService("mnc")
+        store, memo, policy = SketchStore(), EstimateMemo(), RoutingPolicy()
+        per_spec = {}
+        for (estimator, tolerance), name in self.SEQUENCE:
+            spec = (
+                "mnc" if estimator is None and tolerance is None
+                else EstimatorSpec.parse(estimator, tolerance=tolerance)
+            )
+            reference = per_spec.setdefault(
+                (str(estimator), tolerance),
+                EstimationService(spec, store=store, memo=memo, policy=policy),
+            )
+            got = one.submit(ServiceRequest.estimate(
+                exprs[name](), estimator=estimator, tolerance=tolerance
+            ))
+            want = reference.submit(ServiceRequest.estimate(exprs[name]()))
+            for field in ("nnz", "fingerprint", "cached", "router"):
+                assert got.get(field) == want.get(field), (name, estimator, field)
+        hits = sum(
+            service.stats()["service"]["hits"] for service in per_spec.values()
+        )
+        assert 0 < hits < len(self.SEQUENCE)
+        assert one.stats()["service"]["requests"] == len(self.SEQUENCE)
+        assert one.stats()["service"]["hits"] == hits
+
+    def test_racing_threads_resolve_each_spec_once(self, monkeypatch):
+        """Threads resolving new specs at once (the server checks the memo
+        on its event loop while the estimation thread works) make one
+        estimator per spec key and one router per auto key, all routers
+        over one policy."""
+        import sys
+        import threading
+        import time
+
+        from repro.router import AdaptiveRouter
+
+        service = EstimationService("mnc")
+        made = []
+
+        def noted(build):
+            # A slow factory holds a racing thread inside the check-then-make
+            # window long enough for the others to reach it.
+            def factory(*args, **kwargs):
+                made.append(args[-1].key)
+                time.sleep(0.005)
+                return build(*args, **kwargs)
+
+            return factory
+
+        monkeypatch.setattr(EstimatorSpec, "make", noted(EstimatorSpec.make))
+        monkeypatch.setattr(AdaptiveRouter, "from_spec", classmethod(
+            noted(AdaptiveRouter.from_spec.__func__)
+        ))
+        specs = [self.META_AC, self.MNC7, self.SAMPLING7, self.AUTO_LOOSE,
+                 self.AUTO_TIGHT]
+        expr = self._exprs()["ab"]()
+        workers, barrier, errors = 6, threading.Barrier(6), []
+
+        def check(worker):
+            try:
+                barrier.wait(timeout=10)
+                for step in range(40):
+                    estimator, tolerance = specs[(worker + step) % len(specs)]
+                    spec = EstimatorSpec.parse(estimator, tolerance=tolerance)
+                    assert not service.is_memoized(expr, spec)
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=check, args=(w,)) for w in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sorted(made) == sorted(
+            EstimatorSpec.parse(e, tolerance=t).key for e, t in specs
+        )
+        routers = [
+            resolved for resolved, _, tag in service._per_spec.values()
+            if tag == "route"
+        ]
+        assert len(routers) == 2 and routers[0].policy is routers[1].policy
+
+
 class TestSynopsisRouting:
     def test_mnc_leaf_sketches_live_in_store(self, matrices):
         a, b = matrices

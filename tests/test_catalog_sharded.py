@@ -1,11 +1,12 @@
-"""Tests for the fingerprint-sharded store (repro.catalog.sharded)."""
+"""Tests for the sharded store: ``SketchStore(num_shards=...)``, the TTL
+tier, and concurrent warm start."""
 
 import threading
 
 import numpy as np
 import pytest
 
-from repro.catalog.sharded import ShardedSketchStore, ShardRouter
+from repro.catalog.store import SketchStore, shard_index
 from repro.core.serialize import save_sketch
 from repro.core.sketch import MNCSketch
 from repro.errors import SketchError
@@ -18,43 +19,37 @@ def _sketch(seed, m=30, n=24, sparsity=0.2):
 
 class TestRouter:
     def test_hex_prefix_routing_is_deterministic(self):
-        router = ShardRouter(8)
         key = "deadbeefcafe0123"
-        assert router.shard_for(key) == router.shard_for(key)
-        assert 0 <= router.shard_for(key) < 8
+        assert shard_index(key, 8) == shard_index(key, 8)
+        assert shard_index(key, 8) == int("deadbeef", 16) % 8
 
     def test_hex_keys_spread_across_shards(self):
-        router = ShardRouter(8)
         # Real fingerprints are uniform hex; synthesize a spread of them.
         import hashlib
 
         shards = {
-            router.shard_for(hashlib.blake2b(bytes([i])).hexdigest())
+            shard_index(hashlib.blake2b(bytes([i])).hexdigest(), 8)
             for i in range(64)
         }
         assert len(shards) == 8
 
     def test_non_hex_key_still_routes(self):
-        router = ShardRouter(4)
-        index = router.shard_for("not-hex-at-all")
+        index = shard_index("not-hex-at-all", 4)
         assert 0 <= index < 4
-        assert router.shard_for("not-hex-at-all") == index
+        assert shard_index("not-hex-at-all", 4) == index
 
     def test_single_shard_everything_routes_to_zero(self):
-        router = ShardRouter(1)
-        assert router.shard_for("abc123") == 0
-        assert router.shard_for("zzz") == 0
+        assert shard_index("abc123", 1) == 0
+        assert shard_index("zzz", 1) == 0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(SketchError):
-            ShardRouter(0)
-        with pytest.raises(SketchError):
-            ShardRouter(4, prefix_len=0)
+            SketchStore(num_shards=0)
 
 
 class TestShardedBasics:
     def test_put_get_round_trip(self):
-        store = ShardedSketchStore(num_shards=4)
+        store = SketchStore(num_shards=4)
         sketch = _sketch(1)
         store.put("aa11", sketch)
         assert store.get("aa11") is sketch
@@ -62,7 +57,7 @@ class TestShardedBasics:
         assert len(store) == 1
 
     def test_keys_and_discard(self):
-        store = ShardedSketchStore(num_shards=4)
+        store = SketchStore(num_shards=4)
         for index in range(10):
             store.put(f"{index:02x}key", _sketch(index))
         assert len(store) == 10
@@ -72,7 +67,7 @@ class TestShardedBasics:
         assert len(store) == 9
 
     def test_clear(self):
-        store = ShardedSketchStore(num_shards=4)
+        store = SketchStore(num_shards=4)
         for index in range(6):
             store.put(f"{index:02x}", _sketch(index))
         store.clear()
@@ -81,12 +76,12 @@ class TestShardedBasics:
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(SketchError):
-            ShardedSketchStore(budget_bytes=0)
+            SketchStore(num_shards=8, budget_bytes=0)
         with pytest.raises(SketchError):
-            ShardedSketchStore(ttl_seconds=0)
+            SketchStore(num_shards=8, ttl_seconds=0)
 
     def test_stats_aggregate_across_shards(self):
-        store = ShardedSketchStore(num_shards=4, budget_bytes=1 << 20)
+        store = SketchStore(num_shards=4, budget_bytes=1 << 20)
         store.put("00a", _sketch(1))
         store.put("01b", _sketch(2))
         store.get("00a")
@@ -96,13 +91,12 @@ class TestShardedBasics:
         assert stats.hits == 1
         assert stats.misses == 1
         assert stats.entries == 2
-        assert stats.budget_bytes <= 1 << 20
-        assert len(store.shard_stats()) == 4
+        assert stats.budget_bytes == 4 * ((1 << 20) // 4)
 
     def test_budget_split_evicts_within_shard(self):
         one = _sketch(1)
         # Two shards; each shard's budget holds ~1.5 sketches.
-        store = ShardedSketchStore(
+        store = SketchStore(
             num_shards=2, budget_bytes=3 * one.size_bytes()
         )
         for index in range(12):
@@ -114,7 +108,7 @@ class TestShardedBasics:
 class TestTtlTier:
     def test_expired_entries_demote_to_disk(self, tmp_path):
         clock = {"now": 0.0}
-        store = ShardedSketchStore(
+        store = SketchStore(
             num_shards=2,
             spill_dir=tmp_path,
             ttl_seconds=10.0,
@@ -136,7 +130,7 @@ class TestTtlTier:
 
     def test_touch_refreshes_ttl(self, tmp_path):
         clock = {"now": 0.0}
-        store = ShardedSketchStore(
+        store = SketchStore(
             num_shards=1,
             spill_dir=tmp_path,
             ttl_seconds=10.0,
@@ -150,7 +144,7 @@ class TestTtlTier:
 
     def test_lazy_sweep_on_shard_touch(self, tmp_path):
         clock = {"now": 0.0}
-        store = ShardedSketchStore(
+        store = SketchStore(
             num_shards=1,
             spill_dir=tmp_path,
             ttl_seconds=5.0,
@@ -164,7 +158,7 @@ class TestTtlTier:
         assert store.keys() == ["0new"]
 
     def test_no_ttl_means_no_demotion(self):
-        store = ShardedSketchStore(num_shards=2)
+        store = SketchStore(num_shards=2)
         store.put("0a", _sketch(1))
         assert store.evict_expired() == 0
         assert len(store) == 1
@@ -172,7 +166,7 @@ class TestTtlTier:
 
 class TestWarmStartPersist:
     def test_persist_then_warm_start_round_trips(self, tmp_path):
-        store = ShardedSketchStore(num_shards=4)
+        store = SketchStore(num_shards=4)
         originals = {}
         for index in range(10):
             key = f"{index:02x}shard"
@@ -180,7 +174,7 @@ class TestWarmStartPersist:
             store.put(key, originals[key])
         assert store.persist(tmp_path) == 10
 
-        fresh = ShardedSketchStore(num_shards=4)
+        fresh = SketchStore(num_shards=4)
         keys = fresh.warm_start(tmp_path)
         assert keys == sorted(originals)
         for key, sketch in originals.items():
@@ -188,12 +182,10 @@ class TestWarmStartPersist:
 
     def test_warm_start_matches_flat_store(self, tmp_path):
         """Sharded and flat stores load identical key sets from one dir."""
-        from repro.catalog.store import SketchStore
-
         for index in range(8):
             save_sketch(tmp_path / f"{index:x}0aa.npz", _sketch(index))
         flat = SketchStore()
-        sharded = ShardedSketchStore(num_shards=3)
+        sharded = SketchStore(num_shards=3)
         assert sharded.warm_start(tmp_path) == flat.warm_start(tmp_path)
 
     def test_warm_start_skips_corrupt_files(self, tmp_path):
@@ -201,90 +193,45 @@ class TestWarmStartPersist:
         save_sketch(tmp_path / "ffgood.npz", _sketch(2))
         (tmp_path / "11bad.npz").write_bytes(b"not an npz")
         (tmp_path / "eebad.npz").write_bytes(b"")
-        store = ShardedSketchStore(num_shards=4)
+        store = SketchStore(num_shards=4)
         assert store.warm_start(tmp_path) == ["00good", "ffgood"]
         assert store.stats().warm_skipped == 2
 
     def test_warm_start_missing_directory(self, tmp_path):
         with pytest.raises(SketchError):
-            ShardedSketchStore().warm_start(tmp_path / "nope")
+            SketchStore(num_shards=8).warm_start(tmp_path / "nope")
 
     def test_warm_start_empty_directory(self, tmp_path):
-        assert ShardedSketchStore().warm_start(tmp_path) == []
+        assert SketchStore(num_shards=8).warm_start(tmp_path) == []
 
     def test_warm_start_single_worker(self, tmp_path):
+        """A one-shard store loads every file on the calling thread."""
         for index in range(5):
             save_sketch(tmp_path / f"{index:x}1.npz", _sketch(index))
-        store = ShardedSketchStore(num_shards=4)
-        assert len(store.warm_start(tmp_path, workers=1)) == 5
+        store = SketchStore(num_shards=1)
+        assert store.warm_start(tmp_path) == [f"{i:x}1" for i in range(5)]
 
     def test_persist_needs_target(self):
         with pytest.raises(SketchError):
-            ShardedSketchStore().persist()
+            SketchStore(num_shards=8).persist()
 
 
 class TestTtlWarmStartRace:
-    """Lock-ordering regression tests for TTL demotion vs warm_start.
+    """Regression tests for TTL demotion vs warm_start.
 
-    The original sweep deleted every expired timestamp up front, released
-    the shard lock, and then demoted unconditionally — so a warm start (or
-    any get/put) landing between collection and demotion had its freshly
+    An early sweep deleted every expired timestamp up front, released the
+    shard lock, and then demoted unconditionally — so a warm start (or any
+    get/put) landing between collection and demotion had its freshly
     loaded entry demoted straight back to disk while its new timestamp said
-    "resident and fresh". The fix re-validates each key's timestamp under
-    the shard lock at the moment of demotion and makes warm_start's
-    put+touch a single critical section.
+    "resident and fresh". Expiry now runs inside the critical section of
+    the get/put (and so warm-start admit) that triggers it.
     """
-
-    def test_retouched_key_survives_inflight_sweep(self, tmp_path):
-        """A key refreshed after sweep collection must not be demoted.
-
-        Deterministic interleaving: the sweep collects both expired keys;
-        while it demotes the first, a refresh of the second lands. The
-        refresh is injected from the demote hook, which runs on the sweep
-        thread — the shard lock is an RLock, so this faithfully simulates
-        a touch winning the lock between the sweep's loop iterations
-        without risking a deadlock on the post-fix locking.
-        """
-        clock = {"now": 0.0}
-        store = ShardedSketchStore(
-            num_shards=1,
-            spill_dir=tmp_path,
-            ttl_seconds=10.0,
-            clock=lambda: clock["now"],
-        )
-        store.put("0aaa", _sketch(1))
-        store.put("0bbb", _sketch(2))
-        clock["now"] = 100.0  # both now expired
-
-        shard = store._shards[0]
-        real_demote = shard.demote
-
-        def demote_and_refresh(key):
-            resident = real_demote(key)
-            if key == "0aaa":
-                # A concurrent warm_start/get re-touches the *other*
-                # collected key before the sweep reaches it.
-                store._touch(0, "0bbb")
-            return resident
-
-        shard.demote = demote_and_refresh
-        try:
-            demoted = store.evict_expired()
-        finally:
-            shard.demote = real_demote
-
-        assert demoted == 1
-        assert store.ttl_evictions == 1
-        # The re-touched key stayed resident; only the stale one spilled.
-        assert store.keys() == ["0bbb"]
-        assert (tmp_path / "0aaa.npz").exists()
-        assert not (tmp_path / "0bbb.npz").exists()
 
     def test_warm_started_entries_are_ttl_tracked_atomically(self, tmp_path):
         clock = {"now": 0.0}
         for index in range(3):
             save_sketch(tmp_path / f"{index:x}0ws.npz", _sketch(index))
-        store = ShardedSketchStore(
+        store = SketchStore(
             num_shards=2,
             spill_dir=tmp_path,
             ttl_seconds=10.0,
@@ -292,9 +239,9 @@ class TestTtlWarmStartRace:
         )
         assert len(store.warm_start(tmp_path)) == 3
         # Every resident entry has a timestamp and vice versa.
-        for index, shard in enumerate(store._shards):
-            with shard._lock:
-                assert set(store._touched[index]) == set(shard.keys())
+        for shard in store._shards:
+            with shard.lock:
+                assert set(shard.touched) == set(shard.entries)
         clock["now"] = 100.0
         assert store.evict_expired() == 3
         assert len(store) == 0
@@ -312,7 +259,7 @@ class TestTtlWarmStartRace:
         for key, sketch in sketches.items():
             save_sketch(tmp_path / f"{key}.npz", sketch)
 
-        store = ShardedSketchStore(
+        store = SketchStore(
             num_shards=2, spill_dir=tmp_path, ttl_seconds=1.0, clock=now
         )
         errors = []
@@ -353,9 +300,9 @@ class TestTtlWarmStartRace:
         # Bookkeeping consistency first (before get() re-promotes): every
         # resident key is TTL-tracked and no timestamp outlives its entry —
         # the racy sweep left fresh timestamps pointing at demoted entries.
-        for index, shard in enumerate(store._shards):
-            with shard._lock:
-                assert set(store._touched[index]) == set(shard.keys())
+        for shard in store._shards:
+            with shard.lock:
+                assert set(shard.touched) == set(shard.entries)
         # Every key still answers from the memory+disk union, intact.
         for key, sketch in sketches.items():
             value = store.get(key)
@@ -369,7 +316,7 @@ class TestConcurrency:
         sketches = {f"{seed:02x}conc": _sketch(seed) for seed in range(16)}
         any_size = next(iter(sketches.values())).size_bytes()
         budget = 8 * any_size
-        store = ShardedSketchStore(num_shards=4, budget_bytes=budget)
+        store = SketchStore(num_shards=4, budget_bytes=budget)
         errors = []
         barrier = threading.Barrier(8)
 
@@ -406,7 +353,7 @@ class TestConcurrency:
             save_sketch(tmp_path / f"{key}.npz", sketch)
         (tmp_path / "99bad.npz").write_bytes(b"\x00" * 16)
 
-        store = ShardedSketchStore(num_shards=3)
+        store = SketchStore(num_shards=3)
         errors = []
         barrier = threading.Barrier(4)
 
@@ -437,7 +384,7 @@ class TestConcurrency:
             with lock:
                 return clock["now"]
 
-        store = ShardedSketchStore(
+        store = SketchStore(
             num_shards=2, spill_dir=tmp_path, ttl_seconds=1.0, clock=now
         )
         sketches = {f"{i:x}ttl": _sketch(i) for i in range(8)}

@@ -1,15 +1,19 @@
 """Tests for the byte-budgeted LRU sketch store (repro.catalog.store)."""
 
+import hashlib
 import threading
 
 import numpy as np
 import pytest
 
-from repro.catalog.store import SketchStore
+from conftest import full_disk_after_header
+from repro.catalog.store import SketchStore, shard_index
+from repro.core import serialize
 from repro.core.serialize import save_sketch
 from repro.core.sketch import MNCSketch
 from repro.errors import SketchError
 from repro.matrix.random import random_sparse
+from repro.observability.metrics import metrics_snapshot
 
 
 def _sketch(seed, m=30, n=24, sparsity=0.2):
@@ -113,14 +117,20 @@ class TestSpill:
         store.put("b", _sketch(2))
         assert store.get("a") is None
 
-    def test_clear_remove_spill(self, tmp_path):
-        store = SketchStore(spill_dir=tmp_path)
-        store.put("a", _sketch(1))
-        store.persist()
-        assert list(tmp_path.glob("*.npz"))
-        store.clear(remove_spill=True)
-        assert not list(tmp_path.glob("*.npz"))
-        assert len(store) == 0
+    def test_failed_spill_leaves_key_repairable(self, tmp_path, monkeypatch):
+        """A spill that dies mid-write leaves no torn file under the key,
+        so the key reads as a miss and a later spill writes it whole."""
+        small = _sketch(1, m=10, n=8)
+        store = SketchStore(budget_bytes=small.size_bytes() + 1, spill_dir=tmp_path)
+        big = _sketch(2, m=500, n=400, sparsity=0.05)
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize, "sketch_to_arrays", full_disk_after_header)
+            with pytest.raises(OSError):
+                store.put("big", big)  # oversized: spills straight to disk
+        assert list(tmp_path.iterdir()) == []
+        assert store.get("big") is None
+        store.put("big", big)
+        np.testing.assert_array_equal(store.get("big").hr, big.hr)
 
 
 class TestWarmStartPersist:
@@ -214,25 +224,32 @@ class TestWarmStartPersist:
         assert store.stats().warm_skipped == 4  # the bad file, once per call
 
 
-class TestDemote:
-    def test_demote_moves_entry_to_disk_tier(self, tmp_path):
-        store = SketchStore(spill_dir=tmp_path)
-        store.put("k", _sketch(5))
-        assert store.demote("k")
-        assert len(store) == 0
-        assert (tmp_path / "k.npz").exists()
-        reloaded = store.get("k")  # disk hit promotes it back
-        assert reloaded is not None
-        assert store.stats().disk_hits == 1
-
-    def test_demote_without_spill_dir_drops(self):
-        store = SketchStore()
-        store.put("k", _sketch(6))
-        assert store.demote("k")
-        assert store.get("k") is None
-
-    def test_demote_missing_key(self):
-        assert not SketchStore().demote("absent")
+class TestGauges:
+    def test_gauges_describe_the_whole_store(self):
+        """``catalog.store.{bytes_used,entries,budget_bytes}`` are store
+        totals after puts spread over 8 shards, a discard and an eviction —
+        not the values of whichever shard changed last."""
+        sketch = _sketch(1)
+        # Each shard's slice holds exactly two copies of ``sketch``.
+        store = SketchStore(
+            num_shards=8, budget_bytes=8 * (2 * sketch.size_bytes() + 1)
+        )
+        by_shard = {}
+        for i in range(256):
+            key = hashlib.blake2b(i.to_bytes(2, "big")).hexdigest()
+            by_shard.setdefault(shard_index(key, 8), []).append(key)
+        assert sorted(by_shard) == list(range(8))
+        for keys in by_shard.values():
+            for key in keys[:2]:
+                store.put(key, sketch)
+        store.discard(by_shard[0][0])
+        store.put(by_shard[1][2], sketch)  # shard 1 is full: evicts its LRU
+        stats = store.stats()
+        assert (stats.entries, stats.evictions) == (15, 1)
+        gauges = metrics_snapshot().gauges
+        assert gauges["catalog.store.bytes_used"] == stats.bytes_used
+        assert gauges["catalog.store.entries"] == stats.entries
+        assert gauges["catalog.store.budget_bytes"] == stats.budget_bytes
 
 
 class TestConcurrency:

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.catalog.service import EstimationService, ServiceRequest
-from repro.catalog.sharded import ShardedSketchStore
 from repro.catalog.store import SketchStore
 from repro.errors import EstimatorOptionError, ReproError
 from repro.estimators import available_estimators
@@ -296,7 +295,7 @@ def routed_server():
     from repro.serve import EstimationServer, ServeClient, start_server_thread
 
     service = EstimationService(
-        "mnc", store=ShardedSketchStore(num_shards=2)
+        "mnc", store=SketchStore(num_shards=2)
     )
     handle = start_server_thread(EstimationServer(service=service, port=0))
     client = ServeClient(handle.host, handle.port)

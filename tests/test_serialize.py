@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import full_disk_after_header
+from repro.core import serialize
 from repro.core.serialize import (
     load_sketch,
     save_sketch,
@@ -59,6 +61,21 @@ class TestRoundTrip:
         path = tmp_path / "deep" / "dir" / "sketch.npz"
         save_sketch(path, sketch)
         assert path.exists()
+
+    def test_interrupted_write_leaves_nothing(self, tmp_path, monkeypatch):
+        """A write that fails after the ``version`` and ``shape`` members
+        (a full disk, a killed process) leaves neither a torn file at the
+        target nor a temporary file beside it."""
+        sketch = MNCSketch.from_matrix(random_sparse(40, 30, 0.2, seed=1))
+        path = tmp_path / "sketch.npz"
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize, "sketch_to_arrays", full_disk_after_header)
+            with pytest.raises(OSError):
+                save_sketch(path, sketch)
+        assert list(tmp_path.iterdir()) == []
+        save_sketch(path, sketch)
+        assert list(tmp_path.iterdir()) == [path]
+        np.testing.assert_array_equal(load_sketch(path).hr, sketch.hr)
 
 
 class TestValidation:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.catalog.service import EstimationService, ServiceRequest
-from repro.catalog.sharded import ShardedSketchStore
+from repro.catalog.store import SketchStore
 from repro.matrix.random import random_sparse
 from repro.serve import EstimationServer, MatrixRegistry, ServeClient, start_server_thread
 from repro.serve.client import ServeClientError
@@ -19,7 +19,7 @@ from repro.serve.client import ServeClientError
 
 @pytest.fixture()
 def server():
-    service = EstimationService(store=ShardedSketchStore(num_shards=4))
+    service = EstimationService(store=SketchStore(num_shards=4))
     handle = start_server_thread(EstimationServer(service=service, port=0))
     client = ServeClient(handle.host, handle.port)
     try:
