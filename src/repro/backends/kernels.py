@@ -59,14 +59,13 @@ def scale_round_into(histogram, factor, draws, maximum, out):
     """Fused Eq 11 scale + probabilistic round of an int64 histogram.
 
     ``histogram[i] * factor`` (int64 -> float64 conversion is exact for
-    counts) followed by the identical rounding sequence as
-    :func:`prob_round_into`, so fusing saves a pass without changing a
-    bit.
+    counts) followed by the rounding sequence of :func:`prob_round_into`
+    minus its clamp: Eq 11 scales non-negative counts by a factor
+    ``>= 0``, so ``x`` is never negative and the result is bit for bit
+    the unfused one.
     """
     for i in range(histogram.shape[0]):
         x = histogram[i] * factor
-        if x < 0.0:
-            x = 0.0
         f = np.floor(x)
         r = int(f)
         if draws[i] < x - f:

@@ -33,7 +33,9 @@ views, scratch comes from :class:`repro.core.scratch.ScratchBuffer`).
 Output arrays are owned by the caller: a backend must never retain a
 reference to (or return a view of) any buffer it was handed. The
 rounding temporaries live in per-thread scratch buffers owned by the
-backend, keeping the path allocation-free.
+backend; the one array a rounding kernel allocates is
+``reconcile_bulk``'s count table, one entry per value up to the
+histogram's cap.
 """
 
 from __future__ import annotations
@@ -135,34 +137,53 @@ class NumpyBackend:
     ) -> None:
         """Fused Eq 11 scale + probabilistic round of an int64 histogram.
 
-        Equivalent to ``prob_round_into(histogram * factor, ...)``; the
-        fusion saves the intermediate array without changing a bit
+        Equivalent to ``prob_round_into(histogram * factor, ...)`` for a
+        non-negative histogram and factor ``>= 0`` (Eq 11's only inputs):
+        the product is then never negative, so the clamp is skipped, and
+        the fusion saves the intermediate array without changing a bit
         (``int64 -> float64`` conversion is exact for counts).
         """
-        scaled = self._scale.get(histogram.shape[0])
+        n = histogram.shape[0]
+        scaled = self._scale.get(n)
         np.multiply(histogram, factor, out=scaled)
-        self.prob_round_into(scaled, draws, maximum, out)
+        floor = self._round_floor.get(n)
+        np.floor(scaled, out=floor)
+        np.subtract(scaled, floor, out=scaled)
+        bump = self._round_bump.get(n)
+        np.less(draws, scaled, out=bump)
+        np.copyto(out, floor, casting="unsafe")
+        out += bump
+        if maximum >= 0:
+            np.minimum(out, maximum, out=out)
 
     def reconcile_bulk(self, target: np.ndarray, remaining: int) -> int:
         """Bulk phase of ``_reconcile_totals`` (int64, exact arithmetic).
 
-        Binary-searches the largest full-round count ``r`` with
-        ``sum(min(target, r)) <= remaining`` over the positive entries,
-        applies ``target = max(target - r, 0)`` in place, and returns the
-        units still to remove (handled by the driver's random partial
-        round).
+        Finds the largest full-round count ``r`` with
+        ``sum(min(target, r)) <= remaining``, applies
+        ``target = max(target - r, 0)`` in place, and returns the units
+        still to remove (``_reconcile_totals``' random partial round).
+
+        ``sum(min(target, r))`` is the number of entries ``>= t`` summed
+        over ``t = 1..r``, so one ``bincount`` of *target* and two
+        ``cumsum``s give it for every ``r`` at once. *target* is a
+        non-negative count vector capped by Eq 11's ``maximum`` (the
+        opposing dimension), so the pass is ``O(m + n)``. Every round up
+        to ``max(target)`` removes at least one unit, so only the first
+        ``min(max(target), remaining)`` rounds can fit and the ``cumsum``s
+        stop there.
         """
-        values = target[target > 0]
-        lo, hi = 0, int(values.max()) if values.size else 0
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if int(np.minimum(values, mid).sum()) <= remaining:
-                lo = mid
-            else:
-                hi = mid - 1
-        if lo > 0:
-            remaining -= int(np.minimum(values, lo).sum())
-            np.subtract(target, lo, out=target)
+        counts = np.bincount(target)
+        # In place: removed[t - 1] = entries >= t, then
+        # removed[r - 1] = sum(min(target, r)).
+        removed = counts[: min(counts.size - 1, remaining)]
+        np.cumsum(removed, out=removed)
+        np.subtract(target.shape[0], removed, out=removed)
+        np.cumsum(removed, out=removed)
+        rounds = int(np.searchsorted(removed, remaining, side="right"))
+        if rounds > 0:
+            remaining -= int(removed[rounds - 1])
+            np.subtract(target, rounds, out=target)
             np.maximum(target, 0, out=target)
         return int(remaining)
 

@@ -22,10 +22,13 @@ The service composes the three catalog tables:
 - fingerprints come from :mod:`repro.catalog.fingerprint` and are purely
   structural, so a rebuilt-but-identical expression hits every cache.
 
-One caveat worth knowing: cache identity is the estimator's ``name``. Two
-instances of the same estimator class configured differently (e.g. density
-maps with different block sizes) share a name — give them separate services
-rather than sharing one catalog.
+Memo identity is the :attr:`~repro.estimators.spec.EstimatorSpec.key` of
+the spec an estimator was made from, so specs that differ only in seed or
+options never answer each other (a default spec's key is its bare name).
+An estimator *instance* handed to the constructor is identified by its
+``name``: two differently configured instances of one class (e.g. density
+maps with different block sizes) share a name — give them separate
+services rather than sharing one catalog.
 """
 
 from __future__ import annotations
@@ -170,6 +173,8 @@ class EstimationService:
         self._hits = 0
         #: Per-request spec key -> what :meth:`_resolve` returns for it.
         self._per_spec: Dict[str, Tuple[Any, str, str]] = {}
+        #: Estimator made from a spec -> that spec's key (its memo key).
+        self._spec_keys: Dict[SparsityEstimator, str] = {}
         if isinstance(estimator, SparsityEstimator):
             self.estimator = estimator
         else:
@@ -183,6 +188,7 @@ class EstimationService:
                 self.estimator = make_estimator("mnc")
             else:
                 self.estimator = spec.make()
+                self._spec_keys[self.estimator] = spec.key
         #: Logical name -> fingerprint for matrices registered with a name.
         self.names: Dict[str, str] = {}
 
@@ -328,10 +334,11 @@ class EstimationService:
         """``(estimator or router, memo key, memo tag)`` answering *spec*
         (``None``: this service's own estimator).
 
-        Plain estimators memoize roots under their ``name`` with tag
-        ``"nnz"``; routers memoize ``(nnz, router payload)`` under the
-        spec's canonical key with tag ``"route"``, so an ``auto`` request
-        at one tolerance never answers a request at another.
+        Plain estimators memoize roots under their spec's canonical key
+        with tag ``"nnz"`` (a seeded ``mnc`` request never answers a
+        default one); routers memoize ``(nnz, router payload)`` under it
+        with tag ``"route"``, so an ``auto`` request at one tolerance never
+        answers a request at another.
         """
         if spec is None or spec == self.spec:
             if self.router is not None:
@@ -344,7 +351,8 @@ class EstimationService:
                     resolved = (self._make_router(spec), spec.key, "route")
                 else:
                     estimator = spec.make()
-                    resolved = (estimator, self._estimator_key(estimator), "nnz")
+                    self._spec_keys[estimator] = spec.key
+                    resolved = (estimator, spec.key, "nnz")
                 self._per_spec[spec.key] = resolved
         return resolved
 
@@ -723,9 +731,10 @@ class EstimationService:
     # Internals
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _estimator_key(estimator: SparsityEstimator) -> str:
-        return estimator.name
+    def _estimator_key(self, estimator: SparsityEstimator) -> str:
+        """Memo key of *estimator*: its spec's key when this service made
+        it from a spec, else its name (router tiers, given instances)."""
+        return self._spec_keys.get(estimator, estimator.name)
 
     @staticmethod
     def _builds_canonical_sketch(estimator: SparsityEstimator) -> bool:

@@ -106,6 +106,8 @@ class StoreStats:
     entries: int
     bytes_used: int
     budget_bytes: int
+    #: Unreadable catalog files skipped, by :meth:`SketchStore.warm_start`
+    #: or by a ``get`` that found one under its key.
     warm_skipped: int = 0
 
     @property
@@ -206,7 +208,10 @@ class SketchStore:
         """The sketch stored under *key*, or ``None``.
 
         Memory hits refresh LRU recency; misses fall back to the spill
-        directory (reloading promotes the sketch back into memory).
+        directory (reloading promotes the sketch back into memory). An
+        unreadable spill file is counted like one :meth:`warm_start` skips
+        and removed, so a later spill can rewrite the key; the ``get`` is
+        a miss.
         """
         shard = self._shard(key)
         with shard.lock:
@@ -221,11 +226,15 @@ class SketchStore:
                 return sketch
             spill_path = self._spill_path(key)
             if spill_path is not None and spill_path.exists():
-                sketch = load_sketch(spill_path)
-                self._admit(shard, key, sketch)
-                shard.disk_hits += 1
-                metric_inc("catalog.store.disk_hit")
-                return sketch
+                sketch = load_sketch_or_none(spill_path)
+                if sketch is not None:
+                    self._admit(shard, key, sketch)
+                    shard.disk_hits += 1
+                    metric_inc("catalog.store.disk_hit")
+                    return sketch
+                shard.warm_skipped += 1
+                metric_inc("catalog.store.warm_skipped")
+                spill_path.unlink(missing_ok=True)
             shard.misses += 1
             metric_inc("catalog.store.miss")
             return None

@@ -13,10 +13,14 @@ re-establish every invariant by construction), Eq 11 scale-and-round and
 the bulk reconciliation rounds dispatch through
 :func:`repro.backends.get_backend` with the rounding draws threaded in
 from the caller's generator, and tracing spans are entered only when a
-collector listens.
+collector listens. A caller that owns the result's storage (the chain
+DP's workspace) passes it as ``out``: the counts and their float64 views
+are then written into it and nothing is allocated per product.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -51,21 +55,35 @@ def scale_histogram(
         maximum: physical cap per entry (the opposing dimension size).
         rng: randomness for probabilistic rounding.
     """
-    current_total = float(histogram.sum())
+    result = np.empty(histogram.size, dtype=np.int64)
+    _scale_histogram_into(
+        histogram, int(histogram.sum()), target_total, maximum, rng, result
+    )
+    return result
+
+
+def _scale_histogram_into(
+    histogram: np.ndarray,
+    current_total: int,
+    target_total: float,
+    maximum: int,
+    rng: SeedLike,
+    out: np.ndarray,
+) -> None:
+    """:func:`scale_histogram` into *out*, given ``sum(histogram)``."""
     if current_total <= 0 or target_total <= 0:
-        return np.zeros_like(histogram)
+        out.fill(0)
+        return
     generator = resolve_rng(rng)
-    n = histogram.size
     # Draws come from the caller's generator exactly as the unfused
     # scale-then-round formulation consumed them (one uniform per entry),
     # so fusing the multiply into the backend changes no rounding decision.
-    draws = _SCALE_DRAW_SCRATCH.get(n)
+    draws = _SCALE_DRAW_SCRATCH.get(histogram.size)
     generator.random(out=draws)
-    result = np.empty(n, dtype=np.int64)
     get_backend().scale_round_into(
-        histogram, float(target_total) / current_total, draws, int(maximum), result
+        histogram, float(target_total) / float(current_total), draws,
+        int(maximum), out,
     )
-    return result
 
 
 def _propagate_product_impl(
@@ -74,20 +92,39 @@ def _propagate_product_impl(
     rng,
     use_extensions: bool,
     use_bounds: bool,
+    out: Optional[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[MNCSketch, float]:
     generator = resolve_rng(rng)
     m, l = h_a.nrows, h_b.ncols
     nnz_estimate = estimate_product_nnz(
         h_a, h_b, use_extensions=use_extensions, use_bounds=use_bounds
     )
-    hr_c = scale_histogram(h_a.hr, nnz_estimate, maximum=l, rng=generator)
-    hc_c = scale_histogram(h_b.hc, nnz_estimate, maximum=m, rng=generator)
+    if out is None:
+        hr_c = np.empty(m, dtype=np.int64)
+        hc_c = np.empty(l, dtype=np.int64)
+    else:
+        counts, counts_f64 = out
+        hr_c, hc_c = counts[:m], counts[m:]
+    # sum(hr) == sum(hc) == total_nnz, which Algorithm 1 already cached.
+    _scale_histogram_into(
+        h_a.hr, h_a.total_nnz, nnz_estimate, l, generator, hr_c
+    )
+    _scale_histogram_into(
+        h_b.hc, h_b.total_nnz, nnz_estimate, m, generator, hc_c
+    )
     _reconcile_totals(hr_c, hc_c, generator)
     exact = h_a.exact and h_b.exact and (h_a.max_hr <= 1 or h_b.max_hc <= 1)
     sketch = MNCSketch.trusted(
         shape=(m, l), hr=hr_c, hc=hc_c, her=None, hec=None,
         fully_diagonal=False, exact=exact,
     )
+    if out is not None:
+        # The float64 views Algorithm 1 and the Eq 17 scan read, filled
+        # here in one pass instead of by an ``astype`` on first use.
+        np.copyto(counts_f64, counts)
+        for name, view in (("_hr_f64", counts_f64[:m]), ("_hc_f64", counts_f64[m:])):
+            view.setflags(write=False)
+            sketch.__dict__[name] = view
     return sketch, nnz_estimate
 
 
@@ -97,6 +134,8 @@ def propagate_product(
     rng: SeedLike = None,
     use_extensions: bool = True,
     use_bounds: bool = True,
+    *,
+    out: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> MNCSketch:
     """Derive the sketch of ``C = A B`` from the sketches of A and B.
 
@@ -111,6 +150,13 @@ def propagate_product(
         use_extensions, use_bounds: forwarded to
             :func:`~repro.core.estimate.estimate_product_nnz` for the "MNC
             Basic" ablation.
+        out: caller-owned storage for the result: an int64 and a float64
+            vector of length ``m + l`` each. The derived sketch's ``hr``
+            and ``hc`` are then views of the int64 vector and its cached
+            ``hr_f64``/``hc_f64`` views of the float64 one, with the same
+            bits as without *out*; the caller must not let the sketch
+            outlive the storage. The fully-diagonal case returns an
+            operand and leaves *out* untouched.
     """
     if h_a.ncols != h_b.nrows:
         raise ShapeError(
@@ -123,7 +169,7 @@ def propagate_product(
 
     if not tracing_enabled():
         sketch, _ = _propagate_product_impl(
-            h_a, h_b, rng, use_extensions, use_bounds
+            h_a, h_b, rng, use_extensions, use_bounds, out
         )
         return sketch
     with trace(
@@ -132,7 +178,7 @@ def propagate_product(
         operand_nnz=(h_a.total_nnz, h_b.total_nnz),
     ) as span:
         sketch, nnz_estimate = _propagate_product_impl(
-            h_a, h_b, rng, use_extensions, use_bounds
+            h_a, h_b, rng, use_extensions, use_bounds, out
         )
         span.annotate(result_nnz=nnz_estimate)
         return sketch
@@ -163,7 +209,7 @@ def _reconcile_totals(
     # rounds are deterministic — a round that touches *every* positive entry
     # needs no random choice — so the backend applies them in bulk: after
     # ``r`` rounds each entry holds ``max(v - r, 0)`` and ``sum(min(v, r))``
-    # units are gone; it binary-searches the largest such ``r``, subtracts
+    # units are gone; it finds the largest such ``r`` that fits, subtracts
     # it in place, and reports the leftovers. Only the final partial round
     # draws randomness, and it stays here in the driver so every backend
     # consumes the generator identically.

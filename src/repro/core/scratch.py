@@ -14,7 +14,9 @@ Rules of use:
 - a site must not call another function that borrows from the *same*
   buffer while a view is live (none of the kernels recurse);
 - views returned by :meth:`ScratchBuffer.get` are only valid until the
-  site's next ``get`` — never store or return them.
+  site's next ``get`` — never store or return them beyond the call that
+  took them (the chain DP's workspace hands them to its intermediate
+  sketches, none of which outlives the DP).
 
 Buffers are thread-local: the chain DP evaluates one span's cells from a
 thread pool, and each thread gets private storage.

@@ -7,11 +7,18 @@ sparse multiply-pair count ``E[i][k].hc . E[k+1][j].hr`` (Eq 17), and after
 choosing the best split the joined sketch is propagated and memoized —
 reusing intermediate sketches across overlapping subproblems exactly as the
 paper describes.
+
+The intermediate sketches' count vectors, and the float64 views Algorithm 1
+and the Eq 17 scan read, live in one per-thread workspace that grows
+geometrically and is reused across calls (docs/PERFORMANCE.md, "Allocation
+discipline"): a DP over a 20-matrix chain would otherwise allocate, touch
+and hand back to the OS ~24 MB of fresh pages every time it runs.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -19,10 +26,17 @@ import numpy as np
 
 from repro.core.propagate import propagate_product
 from repro.core.rounding import SeedLike, resolve_rng
+from repro.core.scratch import ScratchBuffer
 from repro.core.sketch import MNCSketch
 from repro.errors import PlanError
 from repro.optimizer.cost import Plan, dense_matmul_flops, sparse_matmul_flops
 from repro.parallel.engine import map_values, resolve_workers
+
+
+#: The sparse DP's workspace: every intermediate cell's ``hr``/``hc``
+#: (int64) and their float64 views, one slot of ``m + l`` entries per cell.
+_CELL_COUNTS = ScratchBuffer(np.int64)
+_CELL_COUNTS_F64 = ScratchBuffer(np.float64)
 
 
 @dataclass(frozen=True)
@@ -80,17 +94,21 @@ def _solve_cell(
     i: int,
     j: int,
     rng,
+    out: Tuple[np.ndarray, np.ndarray],
 ) -> Tuple[float, int, MNCSketch]:
     """One DP cell: pick the cheapest split of subchain ``[i, j]`` and
-    propagate its joined sketch. Reads only strictly shorter spans, so all
-    cells of one span are independent."""
+    propagate its joined sketch into the cell's workspace slot *out*.
+    Reads only strictly shorter spans, so all cells of one span are
+    independent."""
     best_cost, best_k = np.inf, i
     for k in range(i, j):
         join = sparse_matmul_flops(memo[i][k], memo[k + 1][j])
         cost = costs[i, k] + costs[k + 1, j] + join
         if cost < best_cost:
             best_cost, best_k = cost, k
-    sketch = propagate_product(memo[i][best_k], memo[best_k + 1][j], rng=rng)
+    sketch = propagate_product(
+        memo[i][best_k], memo[best_k + 1][j], rng=rng, out=out
+    )
     return best_cost, best_k, sketch
 
 
@@ -106,12 +124,16 @@ def optimize_chain_sparse(
             :meth:`MNCSketch.from_matrix`).
         rng: randomness for probabilistic rounding during sketch propagation.
         workers: thread count for evaluating one span's (independent) DP
-            cells concurrently; ``None`` reads ``$REPRO_WORKERS`` (default
-            1). Serial runs consume *rng* cell by cell exactly as before;
-            parallel runs pre-draw one child seed per cell in deterministic
-            (span, i) order, so any ``workers > 1`` yields identical plans
-            and costs regardless of thread count (which may round — hence
-            cost — differently than the serial stream).
+            cells concurrently, from one thread pool per call; ``None``
+            reads ``$REPRO_WORKERS`` (default 1). Serial runs consume *rng*
+            cell by cell exactly as before; parallel runs pre-draw one
+            child seed per cell in deterministic (span, i) order, so any
+            ``workers > 1`` yields identical plans and costs regardless of
+            thread count (which may round — hence cost — differently than
+            the serial stream).
+
+    Intermediate sketches live in the calling thread's workspace (see the
+    module docstring); none of them outlives the call.
     """
     _validate_chain_shapes([h.shape for h in sketches])
     workers = resolve_workers(workers)
@@ -122,33 +144,53 @@ def optimize_chain_sparse(
     memo: list[list[Optional[MNCSketch]]] = [[None] * n for _ in range(n)]
     for i, sketch in enumerate(sketches):
         memo[i][i] = sketch
-    for span in range(2, n + 1):
-        starts = list(range(n - span + 1))
-        if workers > 1 and len(starts) > 1:
-            # Sketch propagation (not the flops scan) dominates a cell, and
-            # it is numpy-bound, so threads are the right pool here — the
-            # memo tables stay shared without any serialization.
-            seeds = [int(generator.integers(0, 2**63)) for _ in starts]
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(starts))
-            ) as pool:
+    # Every cell's slot is cut here, on the calling thread, in the order
+    # the serial DP fills them; pool threads write disjoint slices.
+    cells = [
+        (i, i + span - 1) for span in range(2, n + 1)
+        for i in range(n - span + 1)
+    ]
+    size = sum(sketches[i].nrows + sketches[j].ncols for i, j in cells)
+    counts = _CELL_COUNTS.get(size)
+    counts_f64 = _CELL_COUNTS_F64.get(size)
+    slots = {}
+    start = 0
+    for i, j in cells:
+        stop = start + sketches[i].nrows + sketches[j].ncols
+        slots[i, j] = (counts[start:stop], counts_f64[start:stop])
+        start = stop
+    # Sketch propagation (not the flops scan) dominates a cell, and it is
+    # numpy-bound, so threads are the right pool here — the memo tables
+    # stay shared without any serialization.
+    parallel = workers > 1 and n > 2
+    with (
+        ThreadPoolExecutor(max_workers=min(workers, n - 1))
+        if parallel else nullcontext()
+    ) as pool:
+        for span in range(2, n + 1):
+            starts = list(range(n - span + 1))
+            if parallel and len(starts) > 1:
+                seeds = [int(generator.integers(0, 2**63)) for _ in starts]
                 solved = list(pool.map(
-                    lambda pair: _solve_cell(
-                        costs, memo, pair[0], pair[0] + span - 1,
-                        resolve_rng(pair[1]),
+                    lambda i, seed: _solve_cell(
+                        costs, memo, i, i + span - 1, resolve_rng(seed),
+                        slots[i, i + span - 1],
                     ),
-                    zip(starts, seeds),
+                    starts, seeds,
                 ))
-        else:
-            solved = [
-                _solve_cell(costs, memo, i, i + span - 1, generator)
-                for i in starts
-            ]
-        for i, (best_cost, best_k, sketch) in zip(starts, solved):
-            j = i + span - 1
-            costs[i, j] = best_cost
-            splits[i, j] = best_k
-            memo[i][j] = sketch
+            else:
+                solved = [
+                    _solve_cell(
+                        costs, memo, i, i + span - 1, generator,
+                        slots[i, i + span - 1],
+                    )
+                    for i in starts
+                ]
+            for i, (best_cost, best_k, sketch) in zip(starts, solved):
+                j = i + span - 1
+                costs[i, j] = best_cost
+                splits[i, j] = best_k
+                memo[i][j] = sketch
     return ChainSolution(plan=_extract_plan(splits, 0, n - 1), cost=float(costs[0, n - 1]))
 
 

@@ -315,6 +315,25 @@ class TestPrimitiveIdentity:
                 # Bulk phase removes exactly remaining - leftover units.
                 assert int(base.sum() - t_py.sum()) == remaining - r_py
 
+    def test_reconcile_bulk_counting_edges(self):
+        """The counting pass agrees with the kernels' binary search on
+        empty, all-zero, capped and fully-removable targets."""
+        py, ref = _pair()
+        cases = [
+            (np.zeros(0, dtype=np.int64), 0),
+            (np.zeros(7, dtype=np.int64), 0),
+            (np.array([0, 5, 0, 5, 5], dtype=np.int64), 15),
+            (np.array([0, 5, 0, 5, 5], dtype=np.int64), 14),
+            (np.array([1, 1, 1, 1], dtype=np.int64), 3),
+            (np.array([10_000, 1, 9_999, 2], dtype=np.int64), 9_000),
+        ]
+        for base, remaining in cases:
+            t_py, t_ref = base.copy(), base.copy()
+            assert py.reconcile_bulk(t_py, remaining) == ref.reconcile_bulk(
+                t_ref, remaining
+            )
+            assert np.array_equal(t_py, t_ref)
+
     def test_popcounts(self):
         py, ref = _pair()
         rng = np.random.default_rng(6)

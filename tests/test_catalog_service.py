@@ -123,6 +123,33 @@ class TestMixedSpecs:
     """One service answers per-request specs exactly as separate services,
     one per spec, over one shared store, memo and routing policy would."""
 
+    def test_seeded_spec_does_not_answer_default_requests(self):
+        """A seeded ``mnc`` request memoizes its root and the propagated
+        synopsis under its own spec key, so a later default request of
+        the same composite product is answered as by a fresh service."""
+        from repro.catalog.service import ServiceRequest
+
+        a = random_sparse(300, 200, 0.05, seed=1)
+        b = random_sparse(200, 250, 0.05, seed=2)
+        c = random_sparse(250, 150, 0.05, seed=3)
+
+        def expr():
+            return matmul(matmul(leaf(a), leaf(b)), leaf(c))
+
+        service = EstimationService()
+        seeded = service.submit(ServiceRequest.estimate(
+            expr(), estimator={"name": "mnc", "seed": 7}
+        ))
+        default = service.submit(ServiceRequest.estimate(expr()))
+        fresh = EstimationService().estimate(expr())
+        assert not default["cached"]
+        assert default["nnz"] == fresh["nnz"]
+        assert seeded["nnz"] != fresh["nnz"]  # the seeds do round apart
+        again = service.submit(ServiceRequest.estimate(
+            expr(), estimator={"name": "mnc", "seed": 7}
+        ))
+        assert again["cached"] and again["nnz"] == seeded["nnz"]
+
     MNC7 = ({"name": "mnc", "seed": 7}, None)
     SAMPLING7 = ({"name": "sampling", "seed": 7}, None)
     LAYERED7 = ({"name": "layered_graph", "seed": 7}, None)

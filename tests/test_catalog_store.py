@@ -132,6 +132,27 @@ class TestSpill:
         store.put("big", big)
         np.testing.assert_array_equal(store.get("big").hr, big.hr)
 
+    def test_unreadable_spill_file_is_a_counted_miss(self, tmp_path):
+        """A torn ``<key>.npz`` (an older build's, or disk corruption)
+        makes ``get`` a miss counted like a skipped warm-start file, and
+        is removed so the next spill of the key writes it whole."""
+        (tmp_path / "abcd.npz").write_bytes(b"PK\x03\x04 torn")
+        small = _sketch(1, m=10, n=8)
+        store = SketchStore(budget_bytes=small.size_bytes() + 1, spill_dir=tmp_path)
+        assert "abcd" in store  # a file is there, readable or not
+        assert store.get("abcd") is None
+        stats = store.stats()
+        assert (stats.warm_skipped, stats.misses, stats.disk_hits) == (1, 1, 0)
+        assert "abcd" not in store
+        assert not (tmp_path / "abcd.npz").exists()
+        assert store.get("abcd") is None  # a plain miss now
+        assert store.stats().warm_skipped == 1
+        big = _sketch(2, m=500, n=400, sparsity=0.05)
+        store.put("abcd", big)  # oversized: spills straight to disk
+        assert "abcd" in store
+        np.testing.assert_array_equal(store.get("abcd").hr, big.hr)
+        assert store.stats().disk_hits == 1
+
 
 class TestWarmStartPersist:
     def test_persist_then_warm_start_round_trips(self, tmp_path):

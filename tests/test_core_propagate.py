@@ -141,3 +141,35 @@ class TestPropagation:
             MNCSketch.from_matrix(p), MNCSketch.from_matrix(x), rng=rng
         )
         assert sketch.exact
+
+
+class TestPropagateIntoCallerStorage:
+    """``out=`` writes the derived sketch into caller-owned slots (the chain
+    DP's workspace) with the bits, and generator draws, of the allocating
+    path."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bits_as_allocating_path(self, seed):
+        h_a = MNCSketch.from_matrix(random_sparse(48, 36, 0.12, seed=seed))
+        h_b = MNCSketch.from_matrix(random_sparse(36, 44, 0.18, seed=seed + 9))
+        rng_fresh, rng_out = np.random.default_rng(seed), np.random.default_rng(seed)
+        fresh = propagate_product(h_a, h_b, rng=rng_fresh)
+        counts = np.full(48 + 44, -1, dtype=np.int64)
+        counts_f64 = np.full(48 + 44, np.nan)
+        into = propagate_product(h_a, h_b, rng=rng_out, out=(counts, counts_f64))
+        assert into.hr.tobytes() == fresh.hr.tobytes()
+        assert into.hc.tobytes() == fresh.hc.tobytes()
+        assert into.hr_f64.tobytes() == fresh.hr_f64.tobytes()
+        assert into.hc_f64.tobytes() == fresh.hc_f64.tobytes()
+        assert np.shares_memory(into.hr, counts) and np.shares_memory(into.hc, counts)
+        assert np.shares_memory(into.hc_f64, counts_f64)
+        assert not into.hr_f64.flags.writeable
+        assert rng_out.random() == rng_fresh.random()  # same draws consumed
+
+    def test_diagonal_operand_leaves_out_untouched(self):
+        d = MNCSketch.from_matrix(diagonal_matrix(30, seed=1))
+        h = MNCSketch.from_matrix(random_sparse(30, 20, 0.2, seed=2))
+        counts = np.full(50, -1, dtype=np.int64)
+        counts_f64 = np.full(50, -1.0)
+        assert propagate_product(d, h, rng=0, out=(counts, counts_f64)) is h
+        assert (counts == -1).all() and (counts_f64 == -1.0).all()

@@ -1,5 +1,9 @@
 """Unit tests for the matrix-multiplication-chain optimizer (Appendix C)."""
 
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -173,3 +177,162 @@ class TestSparseDP:
         solution = optimize_chain_sparse(sketches, rng=23)
         recomputed = plan_cost_estimated(solution.plan, sketches, rng=23)
         assert solution.cost == pytest.approx(recomputed, rel=0.2)
+
+
+#: Figure 16's dimension cycle; the end-to-end benchmark's chains use it
+#: twice and end in 1.
+DIMS_CYCLE = (10, 1_000, 10_000, 10_000, 1_000, 10, 10_000, 1, 10_000, 1_000)
+
+
+def _fig16_chain(seed, length):
+    """The first *length* matrices of a chain built the way the end-to-end
+    benchmark builds its 20-matrix chains: synthetic sketches, every third
+    matrix at a log-uniform sparsity in [1e-4, 1], the others at 0.1."""
+    rng = np.random.default_rng(seed)
+    dims = (list(DIMS_CYCLE) * 2 + [1])[: length + 1]
+    return [
+        MNCSketch.synthetic(
+            dims[i], dims[i + 1],
+            10.0 ** rng.uniform(-4, 0) if i % 3 == 0 else 0.1, rng,
+        )
+        for i in range(length)
+    ]
+
+
+#: ``(chain seed, length, workers) -> (plan, cost)`` of
+#: ``optimize_chain_sparse(chain, rng=chain seed + 100)``, frozen from the
+#: DP that allocated every intermediate sketch afresh. Reusing the
+#: workspace, the per-DP thread pool and the rounding kernels must not
+#: move a bit. (Chain 3 at ``workers=1`` prices its plan at just 2.0, a
+#: probabilistic-rounding artifact the DP must still reproduce exactly.)
+FROZEN_DP_ANSWERS = {
+    (0, 12, 1): (
+        "(((M1 M2) (M3 (M4 (M5 (M6 M7))))) (((M8 (M9 M10)) M11) M12))",
+        9410453.0,
+    ),
+    (0, 12, 2): (
+        "(((M1 M2) (M3 (M4 (M5 (M6 M7))))) (((M8 (M9 M10)) M11) M12))",
+        9445509.0,
+    ),
+    (1, 12, 1): (
+        "(((M1 M2) (M3 (M4 (M5 (M6 M7))))) (((M8 (M9 M10)) M11) M12))",
+        3228634.0,
+    ),
+    (1, 12, 2): (
+        "(((M1 M2) (M3 (M4 (M5 (M6 M7))))) (((M8 (M9 M10)) M11) M12))",
+        3301138.0,
+    ),
+    (2, 9, 1): ("(((M1 M2) (M3 (M4 (M5 (M6 M7))))) (M8 M9))", 3717631.0),
+    (2, 9, 2): ("(((M1 M2) (M3 (M4 (M5 (M6 M7))))) (M8 M9))", 3628562.0),
+    (3, 20, 1): (
+        "(M1 (M2 (M3 (M4 (M5 (M6 (M7 (M8 (M9 (M10 (M11 (M12 (M13 (M14 "
+        "(M15 ((((M16 M17) M18) M19) M20))))))))))))))))",
+        2.0,
+    ),
+    (3, 20, 2): (
+        "(((M1 M2) M3) (M4 (M5 ((M6 M7) (((((M8 M9) M10) M11) M12) (M13 "
+        "(M14 (M15 ((M16 M17) ((M18 M19) M20))))))))))",
+        4366226.0,
+    ),
+}
+
+
+class TestSparseDPWorkspace:
+    @pytest.mark.parametrize(
+        "chain_seed,length,workers", sorted(FROZEN_DP_ANSWERS),
+        ids=lambda value: str(value),
+    )
+    def test_frozen_answers(self, chain_seed, length, workers):
+        solution = optimize_chain_sparse(
+            _fig16_chain(chain_seed, length), rng=chain_seed + 100,
+            workers=workers,
+        )
+        plan, cost = FROZEN_DP_ANSWERS[chain_seed, length, workers]
+        assert plan_to_string(solution.plan) == plan
+        assert solution.cost == cost  # exact, not approx
+
+    def test_repeated_dp_allocates_no_new_intermediates(self):
+        """The second DP over the same shapes on one thread reuses the
+        first one's workspace: its traced peak is a small fraction of the
+        first DP's, which allocated the workspace."""
+        chain = _fig16_chain(5, 10)
+        peaks = []
+
+        def run():
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                for seed in (1, 2):
+                    base, _ = tracemalloc.get_traced_memory()
+                    tracemalloc.reset_peak()
+                    optimize_chain_sparse(chain, rng=seed, workers=1)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                if started:
+                    tracemalloc.stop()
+
+        # A fresh thread starts with an empty workspace, whatever DPs
+        # earlier tests ran on this one.
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        first, second = peaks
+        assert second < 0.1 * first, (first, second)
+
+    def test_second_dp_leaves_first_solution_alone(self):
+        chain = _fig16_chain(0, 12)
+        first = optimize_chain_sparse(chain, rng=100, workers=1)
+        answer = (plan_to_string(first.plan), first.cost)
+        optimize_chain_sparse(_fig16_chain(1, 9), rng=7, workers=1)
+        assert (plan_to_string(first.plan), first.cost) == answer
+        again = optimize_chain_sparse(chain, rng=100, workers=1)
+        assert (plan_to_string(again.plan), again.cost) == answer
+
+    def test_parallel_cells_write_disjoint_slots_under_churn(self):
+        """Pool threads write their cells' slots of one shared workspace:
+        with more threads than cores and a tiny switch interval, every run
+        still returns the frozen answer (any ``workers > 1`` is identical),
+        which an overlapping or lost slot write would break."""
+        import sys
+
+        chain = _fig16_chain(2, 9)
+        expected = FROZEN_DP_ANSWERS[2, 9, 2]
+        answers = []
+
+        def run():
+            for workers in (3, 4, 4):
+                solution = optimize_chain_sparse(chain, rng=102, workers=workers)
+                answers.append((plan_to_string(solution.plan), solution.cost))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert answers == [expected] * 3
+
+    def test_one_thread_pool_per_dp(self, monkeypatch):
+        from repro.optimizer import mmchain
+
+        pools = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mmchain, "ThreadPoolExecutor", CountingPool)
+        solution = optimize_chain_sparse(
+            _fig16_chain(2, 9), rng=102, workers=2
+        )
+        assert len(pools) == 1
+        assert (plan_to_string(solution.plan), solution.cost) == (
+            FROZEN_DP_ANSWERS[2, 9, 2]
+        )
+        optimize_chain_sparse(_fig16_chain(2, 9), rng=102, workers=1)
+        assert len(pools) == 1  # the serial DP makes none
