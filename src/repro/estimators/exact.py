@@ -3,6 +3,12 @@
 This is not a practical estimator — it performs the full (boolean) work of
 the expression — but it provides the ground truth the SparsEst metrics are
 computed against, through exactly the same interface as the real estimators.
+
+Synopses are int8 0/1 structures that share ``indices``/``indptr`` with
+their leaf matrices (:func:`~repro.matrix.conversion.boolean_structure`),
+and interior nodes run the copy-free operations of
+:mod:`repro.matrix.ops`. Estimating the root only counts its non-zeros:
+a product is counted without sorting it into a canonical result.
 """
 
 from __future__ import annotations
@@ -48,13 +54,14 @@ class ExactOracle(SparsityEstimator):
     def build(self, matrix: MatrixLike) -> ExactSynopsis:
         return ExactSynopsis(boolean_structure(matrix))
 
-    # Every op: materialize, then read off the count.
+    # Every op: materialize, then read off the count (a product is only
+    # counted).
 
     def _propagate_matmul(self, a: ExactSynopsis, b: ExactSynopsis) -> ExactSynopsis:
         return ExactSynopsis(mops.matmul(a.matrix, b.matrix))
 
     def _estimate_matmul(self, a: ExactSynopsis, b: ExactSynopsis) -> float:
-        return self._propagate_matmul(a, b).nnz_estimate
+        return float(mops.matmul_nnz(a.matrix, b.matrix))
 
     def _propagate_ewise_add(self, a: ExactSynopsis, b: ExactSynopsis) -> ExactSynopsis:
         return ExactSynopsis(mops.ewise_add(a.matrix, b.matrix))

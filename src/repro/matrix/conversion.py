@@ -20,6 +20,8 @@ from repro.errors import ShapeError
 MatrixLike = Union[np.ndarray, sp.spmatrix, sp.sparray, list]
 """Anything accepted at the public API boundary as a matrix."""
 
+_INT32_MAX = np.iinfo(np.int32).max
+
 
 def is_sparse(matrix: object) -> bool:
     """Return ``True`` when *matrix* is any scipy sparse container."""
@@ -129,14 +131,35 @@ def check_assumptions(matrix: MatrixLike) -> None:
         )
 
 
+def structure_view(csr: sp.csr_array, dtype: type = np.int8) -> sp.csr_array:
+    """All-ones *dtype* data over the structure of the canonical CSR *csr*.
+
+    Only the data array is new: the view shares ``indices`` and ``indptr``
+    with *csr*, so treat them as read-only. The one exception is int64 index
+    arrays whose values fit int32 (the shape and ``nnz`` do), which are
+    narrowed to int32 copies: operands then meet scipy's kernels with one
+    index dtype, so scipy never widens the other operand's arrays to int64.
+    """
+    indices, indptr = csr.indices, csr.indptr
+    if max(*csr.shape, csr.nnz) <= _INT32_MAX:
+        indices = indices.astype(np.int32, copy=False)
+        indptr = indptr.astype(np.int32, copy=False)
+    view = sp.csr_array(
+        (np.ones(csr.nnz, dtype=dtype), indices, indptr), shape=csr.shape
+    )
+    view.has_canonical_format = True
+    return view
+
+
 def boolean_structure(matrix: MatrixLike) -> sp.csr_array:
     """Return the 0/1 non-zero structure of *matrix* as CSR with int8 data.
 
     This realizes assumption A1 of the paper (no cancellation): downstream
     ground-truth operations work on the structure, so adding ``+1`` and ``-1``
     can never annihilate a non-zero.
+
+    The result is a :func:`structure_view` of the canonical CSR of *matrix*
+    (*matrix* itself when it is a canonical ``csr_array``), sharing its
+    index arrays.
     """
-    csr = as_csr(matrix)
-    structure = csr.copy()
-    structure.data = np.ones_like(structure.data, dtype=np.int8)
-    return structure
+    return structure_view(as_csr(matrix))

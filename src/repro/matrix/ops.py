@@ -8,17 +8,94 @@ lose non-zeros through cancellation, which cannot happen with non-negative
 data.
 
 Every function here returns a canonical CSR array holding the exact non-zero
-structure of the result; the SparsEst runner uses these as the ground truth
-against which estimates are scored.
+structure of the result (int8 0/1 data for the structural operations); the
+SparsEst runner uses these as the ground truth against which estimates are
+scored.
+
+The operations never copy or up-cast an operand's structure. They read each
+canonical operand through a view: fresh all-ones data over the operand's own
+``indices``/``indptr`` arrays (:func:`~repro.matrix.conversion.structure_view`).
+Element-wise operations use ``bool`` data, which scipy's kernels combine
+with OR and AND. Products use float32 data: every cell of a product of 0/1
+matrices is a sum of non-negative terms, so it is non-zero exactly when some
+path reaches it, however many paths do (no accumulator wraps, and rounding
+cannot turn a positive sum into 0). ``bool`` products would be exact too,
+but on SparsEst B3.2's 620M-path ground-truth product scipy's ``bool``
+kernel ran ~25% slower than float32 (scipy 1.17, 2-CPU x86 VM).
+
+Format rule. SystemML stores a block dense when at least
+:data:`SPARSE_FORMAT_THRESHOLD` (0.4, the paper's footnote 3) of its cells
+are non-zero; :mod:`repro.runtime.formats` charges memory by the same rule.
+A :func:`matmul` whose two operands that rule would store dense runs as one
+dense float32 (BLAS) product, and its CSR result is read straight off the
+``> 0`` mask. Every other product runs as a sparse product.
 """
 
 from __future__ import annotations
+
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ShapeError
-from repro.matrix.conversion import MatrixLike, as_csc, as_csr, boolean_structure
+from repro.matrix.conversion import (
+    MatrixLike,
+    as_csr,
+    boolean_structure,
+    structure_view,
+)
+
+#: SystemML's dense/sparse switch point (paper footnote 3): a block with at
+#: least this fraction of non-zero cells is stored dense.
+SPARSE_FORMAT_THRESHOLD = 0.4
+
+
+def _structure(result: sp.csr_array) -> sp.csr_array:
+    """Turn a fresh result with sorted, duplicate-free indices and no
+    stored zeros into an int8 0/1 structure, in place."""
+    result.has_canonical_format = True
+    result.data = np.ones(result.nnz, dtype=np.int8)
+    return result
+
+
+def _mask_structure(mask: np.ndarray) -> sp.csr_array:
+    """Canonical int8 0/1 CSR of the 2-D bool *mask*, read off row-major
+    (so each row's columns come out sorted) without a COO detour."""
+    m, n = mask.shape
+    row_counts = np.count_nonzero(mask, axis=1)
+    nnz = int(row_counts.sum())
+    index_dtype = np.int32 if max(m, n, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(m + 1, dtype=index_dtype)
+    np.cumsum(row_counts, out=indptr[1:])
+    indices = np.broadcast_to(np.arange(n, dtype=index_dtype), mask.shape)[mask]
+    result = sp.csr_array(
+        (np.ones(nnz, dtype=np.int8), indices, indptr), shape=mask.shape
+    )
+    result.has_canonical_format = True
+    return result
+
+
+def _stored_dense(csr: sp.csr_array) -> bool:
+    """Whether the format rule would store *csr* as a dense block."""
+    cells = csr.shape[0] * csr.shape[1]
+    return cells > 0 and csr.nnz / cells >= SPARSE_FORMAT_THRESHOLD
+
+
+def _product(a: MatrixLike, b: MatrixLike) -> Union[np.ndarray, sp.csr_array]:
+    """The structural product ``A B`` of float32 0/1 views: a dense array
+    when both operands are dense under the format rule, otherwise a CSR
+    result with unsorted column indices. Either way the stored positive
+    cells are exactly the non-zeros."""
+    sa, sb = as_csr(a), as_csr(b)
+    if sa.shape[1] != sb.shape[0]:
+        raise ShapeError(
+            f"matmul requires inner dimensions to agree: {sa.shape} x {sb.shape}"
+        )
+    va, vb = structure_view(sa, np.float32), structure_view(sb, np.float32)
+    if _stored_dense(sa) and _stored_dense(sb):
+        return va.toarray() @ vb.toarray()
+    return va @ vb
 
 
 def matmul(a: MatrixLike, b: MatrixLike) -> sp.csr_array:
@@ -27,50 +104,48 @@ def matmul(a: MatrixLike, b: MatrixLike) -> sp.csr_array:
     Computed as a boolean product of the operand structures: ``C[i, j]`` is
     non-zero iff some ``k`` has ``A[i, k] != 0`` and ``B[k, j] != 0``.
     """
-    return boolean_matmul(a, b)
+    product = _product(a, b)
+    if isinstance(product, np.ndarray):
+        return _mask_structure(product > 0)
+    product.sort_indices()
+    return _structure(product)
+
+
+def matmul_nnz(a: MatrixLike, b: MatrixLike) -> int:
+    """``matmul(a, b).nnz``, counted without building the canonical result."""
+    product = _product(a, b)
+    if isinstance(product, np.ndarray):
+        return int(np.count_nonzero(product))
+    return int(product.nnz)
 
 
 def boolean_matmul(a: MatrixLike, b: MatrixLike) -> sp.csr_array:
     """Boolean matrix product on non-zero structures, returned as 0/1 CSR."""
-    sa = boolean_structure(a)
-    sb = boolean_structure(b)
-    if sa.shape[1] != sb.shape[0]:
-        raise ShapeError(
-            f"matmul requires inner dimensions to agree: {sa.shape} x {sb.shape}"
-        )
-    # int64 accumulation cannot overflow for any realistic benchmark size and
-    # cannot cancel, so the structure of the numeric product is exact.
-    product = sa.astype(np.int64) @ sb.astype(np.int64)
-    result = as_csr(product)
-    result.data = np.ones_like(result.data, dtype=np.int8)
-    return result
+    return matmul(a, b)
 
 
 def ewise_add(a: MatrixLike, b: MatrixLike) -> sp.csr_array:
     """Structural element-wise addition: the union of both structures."""
-    sa = boolean_structure(a)
-    sb = boolean_structure(b)
+    sa, sb = as_csr(a), as_csr(b)
     if sa.shape != sb.shape:
         raise ShapeError(f"ewise_add requires equal shapes: {sa.shape} vs {sb.shape}")
-    union = as_csr(sa.astype(np.int64) + sb.astype(np.int64))
-    union.data = np.ones_like(union.data, dtype=np.int8)
-    return union
+    # Canonical operands take scipy's merge path, whose output is sorted.
+    union = structure_view(sa, np.bool_) + structure_view(sb, np.bool_)
+    return _structure(union)
 
 
 def ewise_mult(a: MatrixLike, b: MatrixLike) -> sp.csr_array:
     """Structural element-wise (Hadamard) product: structure intersection."""
-    sa = boolean_structure(a)
-    sb = boolean_structure(b)
+    sa, sb = as_csr(a), as_csr(b)
     if sa.shape != sb.shape:
         raise ShapeError(f"ewise_mult requires equal shapes: {sa.shape} vs {sb.shape}")
-    inter = as_csr(sa.multiply(sb))
-    inter.data = np.ones_like(inter.data, dtype=np.int8)
-    return inter
+    intersection = structure_view(sa, np.bool_).multiply(structure_view(sb, np.bool_))
+    return _structure(intersection)
 
 
 def transpose(a: MatrixLike) -> sp.csr_array:
     """Structural transpose."""
-    return as_csr(as_csr(a).transpose())
+    return as_csr(structure_view(as_csr(a)).transpose())
 
 
 def reshape_rowwise(a: MatrixLike, rows: int, cols: int) -> sp.csr_array:
@@ -143,16 +218,16 @@ def row_sums(a: MatrixLike) -> sp.csr_array:
     structurally zero, so this is the exact structure of the aggregate.
     """
     csr = as_csr(a)
-    counts = np.diff(csr.indptr)
-    return as_csr((counts > 0).astype(np.int8).reshape(-1, 1))
+    return _mask_structure((np.diff(csr.indptr) > 0).reshape(-1, 1))
 
 
 def col_sums(a: MatrixLike) -> sp.csr_array:
     """Structural column aggregation: a ``1 x n`` vector whose entry ``j``
     is non-zero iff column ``j`` holds any non-zero (see :func:`row_sums`)."""
-    csc = as_csc(a)
-    counts = np.diff(csc.indptr)
-    return as_csr((counts > 0).astype(np.int8).reshape(1, -1))
+    csr = as_csr(a)
+    occupied = np.zeros((1, csr.shape[1]), dtype=np.bool_)
+    occupied[0, csr.indices] = True
+    return _mask_structure(occupied)
 
 
 def not_equals_zero(a: MatrixLike) -> sp.csr_array:
@@ -166,8 +241,4 @@ def equals_zero(a: MatrixLike) -> sp.csr_array:
     The result has ``m * n - nnz(A)`` non-zeros, so it is typically dense;
     callers in the benchmark only apply it to modest shapes.
     """
-    csr = as_csr(a)
-    dense = np.ones(csr.shape, dtype=np.int8)
-    coo = csr.tocoo()
-    dense[coo.row, coo.col] = 0
-    return as_csr(dense)
+    return _mask_structure(~structure_view(as_csr(a), np.bool_).toarray())

@@ -28,6 +28,22 @@ def _rng(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def coords_structure(
+    rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
+) -> sp.csr_array:
+    """Canonical 0/1 CSR (int8 data) with a non-zero at each
+    ``(rows[i], cols[i])``.
+
+    A cell drawn any number of times is one non-zero: duplicates collapse
+    as ``bool`` data (OR), so no count can wrap to 0 the way 256 draws
+    summed in int8 do.
+    """
+    data = np.ones(len(rows), dtype=np.bool_)
+    result = as_csr(sp.coo_array((data, (rows, cols)), shape=shape))
+    result.data = result.data.view(np.int8)
+    return result
+
+
 def random_sparse(
     m: int,
     n: int,
@@ -117,10 +133,7 @@ def power_law_columns(
     probabilities = weights / weights.sum()
     cols = rng.choice(n, size=total_nnz, p=probabilities)
     rows = rng.integers(0, m, size=total_nnz)
-    data = np.ones(total_nnz, dtype=np.int8)
-    result = as_csr(sp.coo_array((data, (rows, cols)), shape=(m, n)))
-    result.data = np.ones_like(result.data, dtype=np.int8)
-    return result
+    return coords_structure(rows, cols, (m, n))
 
 
 def permutation_matrix(n: int, seed: SeedLike = None) -> sp.csr_array:

@@ -12,9 +12,12 @@ Uncertainty comes from the strongest available source per tier:
   (:func:`repro.core.intervals.estimate_product_interval`) for matmul
   roots over MNC-sketched children;
 - **exact**: zero, by definition;
-- everything else: the learned multiplicative error band from the
+- everything else (``mnc`` included, off matmul roots): the learned
+  multiplicative error band from the
   :class:`~repro.router.policy.RoutingPolicy` (static priors until the
-  residual ledger has observations).
+  residual ledger has observations). A band is known before evaluation,
+  so a tier whose width can only be a band that does not fit the
+  tolerance is skipped without running (unless it is the last rung).
 
 Tolerance is a *relative interval width*: ``(upper - lower) /
 max(estimate, 1)``. The router stops at the first tier whose width fits.
@@ -104,6 +107,15 @@ class RouteDecision:
         if self.probe is not None:
             payload["probe"] = self.probe.to_payload()
         return payload
+
+
+def _band_only(tier: Tier, root: Expr) -> bool:
+    """Whether *tier*'s width for *root* can only be its policy band: the
+    band-only tiers everywhere, and ``mnc`` off matmul roots (the Theorem
+    3.2 interval covers products only)."""
+    if tier.structural == "mnc":
+        return root.op is not Op.MATMUL
+    return not tier.structural
 
 
 class _LeafCatalogView:
@@ -246,9 +258,10 @@ class AdaptiveRouter:
         for index in range(start, len(ladder)):
             tier = ladder[index]
             is_last = index == len(ladder) - 1
-            if not tier.structural and not is_last:
-                # Policy-band tiers cannot shrink their width by running:
-                # the band is known before evaluation. Skip hopeless ones.
+            if _band_only(tier, root) and not is_last:
+                # A tier whose width can only be its policy band cannot
+                # shrink it by running: the band is known before
+                # evaluation. Skip hopeless ones.
                 band = self._band(tier, workload, op_label, prior=tier.prior_error)
                 if self._band_width(band) > self.tolerance:
                     skipped += 1
@@ -360,7 +373,7 @@ class AdaptiveRouter:
         if tier.structural == "metadata":
             return self._metadata_width(tier, root, nnz, workload, op_label, view)
 
-        if tier.structural == "mnc" and root.op is Op.MATMUL and all(
+        if not _band_only(tier, root) and all(
             isinstance(child, MNCSynopsis) for child in children
         ):
             interval = estimate_product_interval(

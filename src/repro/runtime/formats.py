@@ -21,8 +21,9 @@ import enum
 
 from repro.errors import ShapeError
 
-#: SystemML's dense/sparse switch point (paper footnote 3).
-SPARSE_FORMAT_THRESHOLD = 0.4
+# SystemML's dense/sparse switch point (paper footnote 3). It lives beside
+# the structural matmul, which applies the same rule.
+from repro.matrix.ops import SPARSE_FORMAT_THRESHOLD
 
 _FP64 = 8
 _INDEX = 4

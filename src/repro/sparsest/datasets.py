@@ -16,7 +16,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.matrix.conversion import as_csr
-from repro.matrix.random import SeedLike, _rng, one_hot_block, single_nnz_per_row
+from repro.matrix.random import (
+    SeedLike,
+    _rng,
+    coords_structure,
+    one_hot_block,
+    single_nnz_per_row,
+)
 
 
 def aminer_abstracts(
@@ -59,10 +65,7 @@ def aminer_references(
     # Shuffle popularity over node ids so "popular" nodes are not contiguous.
     order = rng.permutation(nodes)
     targets = order[rng.choice(nodes, size=total, p=popularity)]
-    data = np.ones(total, dtype=np.int8)
-    graph = as_csr(sp.coo_array((data, (sources, targets)), shape=(nodes, nodes)))
-    graph.data = np.ones_like(graph.data, dtype=np.int8)
-    return graph
+    return coords_structure(sources, targets, (nodes, nodes))
 
 
 def amazon_ratings(
@@ -84,10 +87,7 @@ def amazon_ratings(
     item_order = rng.permutation(items)
     rows = user_order[rng.choice(users, size=total, p=user_weights)]
     cols = item_order[rng.choice(items, size=total, p=item_weights)]
-    data = np.ones(total, dtype=np.int8)
-    ratings = as_csr(sp.coo_array((data, (rows, cols)), shape=(users, items)))
-    ratings.data = np.ones_like(ratings.data, dtype=np.int8)
-    return ratings
+    return coords_structure(rows, cols, (users, items))
 
 
 def covtype(
@@ -129,10 +129,7 @@ def email_graph(
     order = rng.permutation(nodes)
     sources = order[rng.choice(nodes, size=edges, p=weights)]
     targets = order[rng.choice(nodes, size=edges, p=weights)]
-    data = np.ones(edges, dtype=np.int8)
-    graph = as_csr(sp.coo_array((data, (sources, targets)), shape=(nodes, nodes)))
-    graph.data = np.ones_like(graph.data, dtype=np.int8)
-    return graph
+    return coords_structure(sources, targets, (nodes, nodes))
 
 
 def mnist_like(

@@ -42,6 +42,25 @@ class TestGraphs:
         assert sparsity(graph) < 0.01
 
 
+class TestRepeatedDraws:
+    # Each seed draws some cell of the 2 x 2 output a multiple of 256
+    # times; summed as int8 that count wraps to 0 and the cell was lost.
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda: datasets.aminer_references(nodes=2, average_degree=768, seed=8),
+            lambda: datasets.amazon_ratings(users=2, items=2, average_ratings=512, seed=57),
+            lambda: datasets.email_graph(nodes=2, edges=1024, seed=75),
+        ],
+        ids=["aminer_references", "amazon_ratings", "email_graph"],
+    )
+    def test_every_drawn_cell_is_kept(self, generate):
+        matrix = generate()
+        assert matrix.nnz == 4
+        assert matrix.data.dtype == np.int8
+        assert (matrix.data == 1).all()
+
+
 class TestAmazon:
     def test_ultra_sparse(self):
         ratings = datasets.amazon_ratings(users=2000, items=800, seed=7)

@@ -2,25 +2,34 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_structure_equal
 from repro.errors import ShapeError
+from repro.estimators import ExactOracle
 from repro.matrix.conversion import as_csr
 from repro.matrix.ops import (
+    SPARSE_FORMAT_THRESHOLD,
     boolean_matmul,
     cbind,
+    col_sums,
     diag_extract,
     diag_matrix,
     equals_zero,
     ewise_add,
     ewise_mult,
     matmul,
+    matmul_nnz,
     not_equals_zero,
     rbind,
     reshape_rowwise,
+    row_sums,
     transpose,
 )
 from repro.matrix.random import random_sparse
+from repro.opcodes import Op
 
 
 class TestMatmul:
@@ -179,3 +188,170 @@ class TestIndicators:
 
     def test_eq_zero_of_empty_is_full(self):
         assert equals_zero(np.zeros((3, 3))).nnz == 9
+
+
+# ----------------------------------------------------------------------
+# Differential test against a dense numpy bool reference
+# ----------------------------------------------------------------------
+
+#: Data dtypes an operand may arrive in.
+DTYPES = (np.int8, np.bool_, np.int64, np.float64)
+#: Inner dimensions: empty, tiny, and 256, where a full row times a full
+#: column reaches a cell by 256 paths (an int8 count wraps to 0).
+INNER = (0, 1, 5, 256)
+OUTER = (0, 1, 3, 17)
+#: Densities on both sides of the format rule's 0.4.
+DENSITIES = (0.0, 0.1, 0.3, 0.45, 0.95, 1.0)
+
+
+@st.composite
+def masks(draw, rows, cols):
+    """A ``rows x cols`` bool pattern: i.i.d. cells at a drawn density, or
+    full columns (a sparse-format operand whose full columns still give
+    dense-product cells hundreds of paths)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.random((rows, cols)) < draw(st.sampled_from(DENSITIES))
+    mask = np.zeros((rows, cols), dtype=bool)
+    mask[:, rng.random(cols) < 0.25] = True
+    return mask
+
+
+@st.composite
+def operands(draw, mask):
+    """*mask*'s structure as an operand: a dense array, a canonical CSR, or
+    a messy CSR (explicit zeros, duplicate entries that sum to non-zero or
+    cancel to zero, unsorted column indices), in a drawn data dtype and
+    index dtype. Dense and canonical operands hold values in 1-5, so an op
+    that wrote into an input's data would show."""
+    dtype = draw(st.sampled_from(DTYPES))
+    layout = draw(st.sampled_from(("dense", "csr", "messy")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout != "messy":
+        dense = np.where(mask, rng.integers(1, 6, size=mask.shape), 0).astype(dtype)
+        return dense if layout == "dense" else sp.csr_array(dense)
+    signed = dtype is not np.bool_
+    entries = []  # (row, col, value)
+    for i, j in zip(*np.nonzero(mask)):
+        if rng.random() < 0.3:  # a duplicate pair that sums to non-zero
+            entries += [(i, j, 1), (i, j, 1 if dtype is np.bool_ else 2)]
+        else:
+            entries.append((i, j, 1))
+    for i, j in zip(*np.nonzero(~mask)):
+        roll = rng.random()
+        if roll < 0.1:
+            entries.append((i, j, 0))  # explicit zero
+        elif roll < 0.2 and signed:
+            entries += [(i, j, 1), (i, j, -1)]  # duplicates that cancel
+    rows, cols = mask.shape
+    order = rng.permutation(len(entries))  # unsorted within each row
+    entries = sorted((entries[k] for k in order), key=lambda entry: entry[0])
+    index_dtype = draw(st.sampled_from((np.int32, np.int64)))
+    indptr = np.zeros(rows + 1, dtype=index_dtype)
+    np.cumsum(np.bincount([e[0] for e in entries], minlength=rows), out=indptr[1:])
+    return sp.csr_array(
+        (
+            np.array([e[2] for e in entries], dtype=dtype),
+            np.array([e[1] for e in entries], dtype=index_dtype),
+            indptr,
+        ),
+        shape=mask.shape,
+    )
+
+
+def _arrays(matrix):
+    if sp.issparse(matrix):
+        return [matrix.data, matrix.indices, matrix.indptr]
+    return [matrix]
+
+
+def _unchanged(matrix, snapshot):
+    return all(
+        a.dtype == b.dtype and np.array_equal(a, b)
+        for a, b in zip(_arrays(matrix), snapshot)
+    )
+
+
+def _assert_structure(result, expected):
+    """*result* is a canonical int8 0/1 CSR array whose pattern is *expected*."""
+    assert isinstance(result, sp.csr_array)
+    assert result.shape == expected.shape
+    assert result.data.dtype == np.int8
+    assert (result.data == 1).all()
+    assert len(result.data) == len(result.indices) == result.indptr[-1]
+    rows = np.repeat(np.arange(result.shape[0]), np.diff(result.indptr))
+    # Strictly increasing columns within each row: sorted, no duplicates.
+    same_row = rows[1:] == rows[:-1]
+    assert (np.diff(result.indices)[same_row] > 0).all()
+    dense = np.zeros(result.shape, dtype=bool)
+    dense[rows, result.indices] = True
+    np.testing.assert_array_equal(dense, expected)
+
+
+class TestDifferential:
+    """Every structural op against the same op on dense numpy bools."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_ops_match_dense_bool_reference(self, data):
+        m, k, n = (data.draw(st.sampled_from(dims)) for dims in (OUTER, INNER, OUTER))
+        ref_a = data.draw(masks(m, k))
+        ref_a2 = data.draw(masks(m, k))
+        ref_b = data.draw(masks(k, n))
+        a = data.draw(operands(ref_a))
+        a2 = data.draw(operands(ref_a2))
+        b = data.draw(operands(ref_b))
+        inputs = [(x, [array.copy() for array in _arrays(x)]) for x in (a, a2, b)]
+
+        product = (ref_a.astype(np.int64) @ ref_b.astype(np.int64)) > 0
+        expectations = [
+            (matmul(a, b), product),
+            (ewise_add(a, a2), ref_a | ref_a2),
+            (ewise_mult(a, a2), ref_a & ref_a2),
+            (transpose(a), ref_a.T),
+            (not_equals_zero(a), ref_a),
+            (equals_zero(a), ~ref_a),
+            (row_sums(a), ref_a.any(axis=1).reshape(-1, 1)),
+            (col_sums(a), ref_a.any(axis=0).reshape(1, -1)),
+        ]
+        for result, expected in expectations:
+            _assert_structure(result, expected)
+        assert matmul_nnz(a, b) == np.count_nonzero(product)
+
+        oracle = ExactOracle()
+        sa, sa2, sb = oracle.build(a), oracle.build(a2), oracle.build(b)
+        counts = [
+            (Op.MATMUL, [sa, sb], product),
+            (Op.EWISE_ADD, [sa, sa2], ref_a | ref_a2),
+            (Op.EWISE_MULT, [sa, sa2], ref_a & ref_a2),
+            (Op.TRANSPOSE, [sa], ref_a),
+            (Op.NEQ_ZERO, [sa], ref_a),
+            (Op.EQ_ZERO, [sa], ~ref_a),
+            (Op.ROW_SUMS, [sa], ref_a.any(axis=1)),
+            (Op.COL_SUMS, [sa], ref_a.any(axis=0)),
+        ]
+        for op, synopses, expected in counts:
+            assert oracle.estimate_nnz(op, synopses) == np.count_nonzero(expected), op
+        _assert_structure(oracle.propagate(Op.MATMUL, [sa, sb]).matrix, product)
+
+        for matrix, snapshot in inputs:
+            assert _unchanged(matrix, snapshot)
+
+    @pytest.mark.parametrize("b_density", [1.0, 0.25])
+    def test_path_counts_past_int16(self, b_density):
+        # A full 1 x 2**16 row times B whose first column is full: that
+        # cell is reached by 2**16 paths, which an int8 or int16 count
+        # wraps to 0. B is dense (1.0) or sparse (0.25) under the format
+        # rule, so both product paths are covered.
+        k = 2**16
+        a = np.ones((1, k), dtype=np.int8)
+        b = np.zeros((k, 4), dtype=np.int8)
+        b[:, : int(4 * b_density)] = 1
+        expected = (a.astype(np.int64) @ b.astype(np.int64)) > 0
+        assert (b.mean() >= SPARSE_FORMAT_THRESHOLD) == (b_density == 1.0)
+        _assert_structure(matmul(a, b), expected)
+        assert matmul_nnz(a, b) == expected.sum()
+        oracle = ExactOracle()
+        assert oracle.estimate_nnz(
+            Op.MATMUL, [oracle.build(a), oracle.build(b)]
+        ) == expected.sum()

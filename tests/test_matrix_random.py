@@ -13,6 +13,7 @@ from repro.matrix.properties import (
 )
 from repro.matrix.random import (
     banded_matrix,
+    coords_structure,
     diagonal_matrix,
     one_hot_block,
     outer_product_pair,
@@ -80,6 +81,26 @@ class TestPowerLawColumns:
     def test_total_close_to_requested(self):
         matrix = power_law_columns(5000, 200, total_nnz=2000, seed=10)
         assert 0.9 * 2000 <= matrix.nnz <= 2000
+
+    def test_cell_drawn_256_times_is_kept(self):
+        # Seed 5 draws row 2 exactly 256 times; summed as int8 that count
+        # wraps to 0 and the cell was eliminated.
+        matrix = power_law_columns(4, 1, 1024, seed=5)
+        np.testing.assert_array_equal(row_nnz(matrix), [1, 1, 1, 1])
+        assert matrix.data.dtype == np.int8
+        assert (matrix.data == 1).all()
+
+
+class TestCoordsStructure:
+    def test_any_repeat_count_is_one_nonzero(self):
+        counts = [256, 512, 1, 255]
+        rows = np.repeat(np.arange(4), counts)
+        matrix = coords_structure(rows, np.zeros_like(rows), (4, 2))
+        assert matrix.nnz == 4
+        np.testing.assert_array_equal(matrix.indices, [0, 0, 0, 0])
+        assert matrix.data.dtype == np.int8
+        assert (matrix.data == 1).all()
+        assert matrix.has_canonical_format
 
 
 class TestPermutationAndSelection:

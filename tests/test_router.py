@@ -16,7 +16,7 @@ from repro.errors import EstimatorOptionError, ReproError
 from repro.estimators import available_estimators
 from repro.estimators.spec import EstimatorSpec
 from repro.ir.interpreter import evaluate
-from repro.ir.nodes import leaf
+from repro.ir.nodes import ewise_mult, leaf
 from repro.matrix.random import random_sparse
 from repro.router import (
     POLICY_FILENAME,
@@ -34,6 +34,18 @@ def _product(seed=0, m=60, k=40, n=50, density=0.08):
     a = random_sparse(m, k, density, seed=seed)
     b = random_sparse(k, n, density, seed=seed + 1)
     return leaf(a, name="A") @ leaf(b, name="B")
+
+
+def _masked(seed=0, m=60, n=50, density=0.3):
+    """An element-wise root: MNC has no interval for it, only a band."""
+    a = random_sparse(m, n, density, seed=seed)
+    b = random_sparse(m, n, density, seed=seed + 1)
+    return ewise_mult(leaf(a, name="A"), leaf(b, name="B"))
+
+
+_MNC_PRIOR = next(tier for tier in TIER_LADDER if tier.name == "mnc").prior_error
+#: Relative width of MNC's prior band (0.37 for its 1.2 band).
+MNC_PRIOR_WIDTH = _MNC_PRIOR - 1.0 / _MNC_PRIOR
 
 
 class TestTierLadder:
@@ -93,6 +105,56 @@ class TestEscalation:
             assert name not in decision.tiers_tried
         assert decision.skipped >= 3
 
+    def test_mnc_band_preskipped_off_matmul_roots(self):
+        # Off a matmul root MNC's width can only be its band, which is
+        # known before evaluation and wider than 0.05: the rung is skipped
+        # like a band-only tier, and the route still returns the truth.
+        root = _masked()
+        nnz, decision = AdaptiveRouter(tolerance=0.05, seed=0).route(root)
+        admissible = [tier.name for tier in admissible_tiers(root)]
+        assert "mnc" in admissible
+        assert "mnc" not in decision.tiers_tried
+        assert decision.tiers_tried == ("meta_ac", "exact")
+        assert decision.skipped == len(admissible) - len(decision.tiers_tried)
+        assert decision.escalations == 1
+        assert decision.tier == "exact"
+        assert nnz == float(evaluate(root).nnz)
+
+    def test_mnc_runs_off_matmul_roots_when_its_band_fits(self):
+        router = AdaptiveRouter(tolerance=MNC_PRIOR_WIDTH + 0.01, seed=0)
+        _, decision = router.route(_masked())
+        assert decision.tiers_tried == ("meta_ac", "mnc")
+        assert decision.tier == "mnc"
+        assert not decision.certified
+        assert decision.width == pytest.approx(MNC_PRIOR_WIDTH)
+
+    @pytest.mark.parametrize(
+        "seed, tolerance, nnz, tier, tiers_tried, skipped, escalations",
+        [
+            (0, 1e-9, 605.0, "exact", ("meta_ac", "mnc", "exact"), 3, 2),
+            (0, 0.05, 605.0, "exact", ("meta_ac", "mnc", "exact"), 3, 2),
+            (0, 0.3, 579.9481772455015, "mnc", ("meta_ac", "mnc"), 3, 1),
+            (0, 10.0, 603.1620636122545, "meta_ac", ("meta_ac",), 0, 0),
+            (3, 1e-9, 598.0, "exact", ("meta_ac", "mnc", "exact"), 3, 2),
+            (3, 0.05, 598.0, "exact", ("meta_ac", "mnc", "exact"), 3, 2),
+            (3, 0.3, 580.3679360152025, "mnc", ("meta_ac", "mnc"), 3, 1),
+            (3, 10.0, 590.2733246972264, "meta_ac", ("meta_ac",), 0, 0),
+        ],
+    )
+    def test_matmul_root_decisions_unchanged(
+        self, seed, tolerance, nnz, tier, tiers_tried, skipped, escalations
+    ):
+        # Frozen before MNC's band pre-skip existed: on matmul roots MNC's
+        # width is the Theorem 3.2 interval, so the rung always runs.
+        got, decision = AdaptiveRouter(tolerance=tolerance, seed=7).route(
+            _product(seed=seed)
+        )
+        assert got == nnz
+        assert decision.tier == tier
+        assert decision.tiers_tried == tiers_tried
+        assert decision.skipped == skipped
+        assert decision.escalations == escalations
+
     def test_leaf_short_circuits_to_exact(self):
         matrix = random_sparse(30, 20, 0.1, seed=3)
         router = AdaptiveRouter(tolerance=0.5)
@@ -127,6 +189,21 @@ class TestRoutingPolicy:
         untrained = AdaptiveRouter(tolerance=0.2, seed=0)
         _, base = untrained.route(_product())
         assert base.tier != "density_map"
+
+    def test_trained_band_unlocks_mnc_off_matmul_roots(self):
+        # 200 near-perfect MNC residuals on ewise_mult shrink its band
+        # below 0.05, so the rung is no longer pre-skipped and answers.
+        policy = RoutingPolicy()
+        for _ in range(200):
+            policy.observe("MNC", op="ewise_mult", relative_error=1.01)
+        trained = AdaptiveRouter(tolerance=0.05, seed=0, policy=policy)
+        _, decision = trained.route(_masked())
+        assert decision.tiers_tried == ("meta_ac", "mnc")
+        assert decision.tier == "mnc"
+
+        _, base = AdaptiveRouter(tolerance=0.05, seed=0).route(_masked())
+        assert base.tier == "exact"
+        assert "mnc" not in base.tiers_tried
 
     def test_snapshot_roundtrip_and_merge(self):
         policy = RoutingPolicy()
