@@ -8,9 +8,15 @@ are structural (:mod:`repro.catalog.fingerprint`), a memoized result
 survives rebuilding the expression from scratch: the SparsEst runner uses
 exactly this to keep ground-truth nnz across per-seed DAG reconstructions.
 
-The memo is thread-safe, LRU-bounded by entry count only (no byte budget,
-although propagated synopses are large — see :data:`DEFAULT_MAX_ENTRIES`),
-and supports explicit invalidation by fingerprint and/or estimator — the
+The memo is thread-safe and LRU-bounded twice: by entry count and by a
+byte budget (:data:`DEFAULT_BUDGET_BYTES`). Every entry is charged
+:data:`ENTRY_OVERHEAD_BYTES` plus, for a value with a ``size_bytes()``
+method (a synopsis), what that reports, so a memo full of propagated MNC
+synopses stays within its budget; a value larger than the whole budget is
+returned to its caller but never admitted. Charges are fixed at ``put``
+time, so a value must not grow once memoized — the service memoizes MNC
+sketches that never cache float64 views for exactly this reason. The memo
+also supports explicit invalidation by fingerprint and/or estimator — the
 hook for workloads where a registered matrix is replaced under the same
 logical name.
 
@@ -27,8 +33,10 @@ Concurrency contract (the serving tier leans on all three):
 - a ``compute`` that raises releases the in-flight marker, so one waiter
   is promoted to writer instead of every waiter hanging or failing.
 
-Hits and misses are mirrored onto the observability counters
-(``catalog.memo.hit`` / ``catalog.memo.miss``).
+Hits, misses and evictions are mirrored onto the observability counters
+(``catalog.memo.hit`` / ``catalog.memo.miss`` / ``catalog.memo.evictions``),
+and the ``catalog.memo.{entries,bytes_used,budget_bytes}`` gauges track the
+resident set.
 """
 
 from __future__ import annotations
@@ -39,15 +47,38 @@ from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro.observability.metrics import metric_inc, metric_set
 
-#: Default entry bound. Root estimates are scalars or small route payloads,
-#: but the service also memoizes every propagated synopsis, and an MNC
-#: synopsis of an m x n intermediate holds O(m + n) counts (~0.3-0.6 MB at
-#: 20000 x 20000), so a full memo can reach tens of GB.
+#: Default entry bound. Root estimates are scalars or small route payloads;
+#: the byte budget, not this bound, limits a memo of propagated synopses.
 DEFAULT_MAX_ENTRIES = 65536
+
+#: Default byte budget. The service memoizes every propagated synopsis, and
+#: an MNC synopsis of an m x n intermediate holds O(m + n) counts (~0.3 MB
+#: at 20000 x 20000), so this holds about a thousand of them. It is the
+#: smallest budget that kept e2ebench ``serve_cold`` latency within ~10% of
+#: an unbounded memo (docs/PERFORMANCE.md, "The memo's byte budget").
+DEFAULT_BUDGET_BYTES = 320 * 1024 * 1024
+
+#: Fixed charge per entry: its key, value object and index slots.
+ENTRY_OVERHEAD_BYTES = 512
 
 _MISSING = object()
 
 MemoKey = Tuple[str, str, str]
+
+
+def entry_charge(value: Any) -> int:
+    """Bytes an entry holding *value* is charged against the budget."""
+    size_bytes = getattr(value, "size_bytes", None)
+    if size_bytes is None:
+        return ENTRY_OVERHEAD_BYTES
+    return ENTRY_OVERHEAD_BYTES + int(size_bytes())
+
+
+class _Pending(threading.Event):
+    """A key's in-flight computation; its writer sets ``value`` before the
+    event, so waiters can take a value the memo did not keep."""
+
+    value: Any = _MISSING
 
 
 class EstimateMemo:
@@ -57,18 +88,29 @@ class EstimateMemo:
     fingerprint of the node or DAG, the estimator identity (its
     :attr:`~repro.estimators.base.SparsityEstimator.name`, or ``"exact"``
     for ground truth), and a tag naming what was memoized (``"nnz"``,
-    ``"synopsis"``, ...).
+    ``"synopsis"``, ...). Least recently used entries are evicted while
+    the memo holds more than *max_entries* entries or more than
+    *budget_bytes* of charges (:func:`entry_charge`).
     """
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
+    def __init__(
+        self,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
+        budget_bytes: int = DEFAULT_BUDGET_BYTES,
+    ):
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
+        if budget_bytes <= 0:
+            raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
         self.max_entries = int(max_entries)
+        self.budget_bytes = int(budget_bytes)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[MemoKey, Any]" = OrderedDict()
+        self._charges: Dict[MemoKey, int] = {}
+        self._bytes_used = 0
         #: Keys whose value is being computed right now (memoize's
         #: single-writer-per-key protocol); waiters block on the event.
-        self._inflight: Dict[MemoKey, threading.Event] = {}
+        self._inflight: Dict[MemoKey, _Pending] = {}
         #: Leaf-dependency index for partial invalidation (streaming):
         #: ``depends_on`` fingerprints -> keys of entries derived from
         #: them, plus the per-key inverse so eviction stays O(deps).
@@ -78,6 +120,7 @@ class EstimateMemo:
         self._misses = 0
         self._invalidations = 0
         self._compute_waits = 0
+        self._evictions = 0
 
     def get(
         self, fingerprint: str, estimator: str, tag: str, default: Any = None
@@ -94,6 +137,13 @@ class EstimateMemo:
             self._hits += 1
             metric_inc("catalog.memo.hit")
             return value
+
+    def _remove(self, key: MemoKey) -> None:
+        """Drop resident *key*, its charge and its dependency edges (caller
+        holds the lock)."""
+        del self._entries[key]
+        self._bytes_used -= self._charges.pop(key)
+        self._unlink_deps(key)
 
     def _unlink_deps(self, key: MemoKey) -> None:
         """Drop *key* from the dependency index (caller holds the lock)."""
@@ -113,7 +163,12 @@ class EstimateMemo:
         *,
         depends_on: Optional[Iterable[str]] = None,
     ) -> None:
-        """Memoize *value*, evicting the LRU entry beyond the bound.
+        """Memoize *value*, evicting LRU entries beyond either bound.
+
+        A re-put replaces the key's value, charge and dependencies. A value
+        whose charge exceeds the whole budget is not admitted (and the
+        key's previous value is dropped): the caller keeps it, the memo
+        does not.
 
         ``depends_on`` lists the *leaf* fingerprints the value was derived
         from; invalidating any of them (e.g. because a streaming delta
@@ -122,19 +177,30 @@ class EstimateMemo:
         behavior: the entry is only dropped by its own fingerprint.
         """
         key = (fingerprint, estimator, tag)
+        charge = entry_charge(value)
+        evicted = 0
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            self._unlink_deps(key)
-            if depends_on:
-                deps = tuple(dict.fromkeys(depends_on))
-                self._key_deps[key] = deps
-                for dep in deps:
-                    self._dependents.setdefault(dep, set()).add(key)
-            while len(self._entries) > self.max_entries:
-                evicted, _ = self._entries.popitem(last=False)
-                self._unlink_deps(evicted)
-            metric_set("catalog.memo.entries", len(self._entries))
+            if key in self._entries:
+                self._remove(key)
+            if charge <= self.budget_bytes:
+                self._entries[key] = value
+                self._charges[key] = charge
+                self._bytes_used += charge
+                if depends_on:
+                    deps = tuple(dict.fromkeys(depends_on))
+                    self._key_deps[key] = deps
+                    for dep in deps:
+                        self._dependents.setdefault(dep, set()).add(key)
+                while (
+                    len(self._entries) > self.max_entries
+                    or self._bytes_used > self.budget_bytes
+                ):
+                    self._remove(next(iter(self._entries)))
+                    evicted += 1
+                self._evictions += evicted
+            self._publish_gauges()
+        if evicted:
+            metric_inc("catalog.memo.evictions", evicted)
 
     def memoize(
         self,
@@ -152,9 +218,12 @@ class EstimateMemo:
         can be arbitrarily slow) while the others wait for it and then read
         the stored value. If the computing thread raises, its waiters are
         woken and one of them takes over the computation; the exception
-        propagates to the original caller.
+        propagates to the original caller. A computed value the memo does
+        not keep (larger than the budget, or evicted before a waiter
+        reads it) is handed to the waiters instead of recomputed.
         """
         key = (fingerprint, estimator, tag)
+        waited: Optional[_Pending] = None
         while True:
             with self._lock:
                 value = self._entries.get(key, _MISSING)
@@ -163,9 +232,11 @@ class EstimateMemo:
                     self._hits += 1
                     metric_inc("catalog.memo.hit")
                     return value
+                if waited is not None and waited.value is not _MISSING:
+                    return waited.value
                 pending = self._inflight.get(key)
                 if pending is None:
-                    pending = self._inflight[key] = threading.Event()
+                    pending = self._inflight[key] = _Pending()
                     owner = True
                     self._misses += 1
                     metric_inc("catalog.memo.miss")
@@ -187,14 +258,16 @@ class EstimateMemo:
                     fingerprint, estimator, tag, value,
                     depends_on=depends_on,
                 )
+                pending.value = value
                 with self._lock:
                     self._inflight.pop(key, None)
                 pending.set()
                 return value
             pending.wait()
-            # Re-check from the top: the usual case finds the stored value;
-            # if the writer failed (or the entry was already evicted) this
-            # thread competes to become the new writer.
+            waited = pending
+            # Re-check from the top: the usual case finds the stored value,
+            # else the writer's value; if the writer failed this thread
+            # competes to become the new writer.
 
     def invalidate(
         self,
@@ -214,6 +287,8 @@ class EstimateMemo:
             if fingerprint is None and estimator is None:
                 removed = len(self._entries)
                 self._entries.clear()
+                self._charges.clear()
+                self._bytes_used = 0
                 self._dependents.clear()
                 self._key_deps.clear()
             else:
@@ -233,11 +308,10 @@ class EstimateMemo:
                     and (estimator is None or key[1] == estimator)
                 ]
                 for key in doomed:
-                    del self._entries[key]
-                    self._unlink_deps(key)
+                    self._remove(key)
                 removed = len(doomed)
             self._invalidations += removed
-            metric_set("catalog.memo.entries", len(self._entries))
+            self._publish_gauges()
         if removed:
             metric_inc("catalog.memo.invalidation", removed)
         return removed
@@ -245,6 +319,12 @@ class EstimateMemo:
     def clear(self) -> None:
         """Drop every memoized result (counters are kept)."""
         self.invalidate()
+
+    def _publish_gauges(self) -> None:
+        """Mirror the resident set onto the gauges (caller holds the lock)."""
+        metric_set("catalog.memo.entries", len(self._entries))
+        metric_set("catalog.memo.bytes_used", self._bytes_used)
+        metric_set("catalog.memo.budget_bytes", self.budget_bytes)
 
     def __len__(self) -> int:
         with self._lock:
@@ -262,7 +342,10 @@ class EstimateMemo:
                 "misses": self._misses,
                 "invalidations": self._invalidations,
                 "compute_waits": self._compute_waits,
+                "evictions": self._evictions,
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
+                "bytes_used": self._bytes_used,
+                "budget_bytes": self.budget_bytes,
                 "dependency_tracked": len(self._key_deps),
             }

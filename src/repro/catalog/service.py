@@ -15,7 +15,7 @@ The service composes the three catalog tables:
 - leaf sketches live in a byte-budgeted :class:`~repro.catalog.store.SketchStore`
   (the canonical, persistable artifacts — warm-startable from a catalog
   directory, spillable to disk);
-- propagated synopses and root results live in an
+- propagated synopses and root results live in a byte-budgeted
   :class:`~repro.catalog.memo.EstimateMemo` keyed on
   ``(fingerprint, estimator, tag)``, so structurally identical sub-DAGs are
   estimated once *across* requests, not just within one DAG walk;
@@ -211,7 +211,8 @@ class EstimationService:
             key = self._estimator_key(self.estimator)
             if self.memo.get(fingerprint, key, "synopsis") is None:
                 self.memo.put(
-                    fingerprint, key, "synopsis", self.estimator.build(matrix)
+                    fingerprint, key, "synopsis",
+                    _memoized(self.estimator.build(matrix)),
                 )
         return fingerprint
 
@@ -631,7 +632,7 @@ class EstimationService:
 
         Canonical leaf sketches go to the byte-budgeted store (persistable,
         spillable); everything else — propagated synopses and non-MNC leaf
-        synopses — goes to the entry-bounded memo.
+        synopses — goes to the byte-budgeted memo.
         """
         if (
             node.op is Op.LEAF
@@ -641,7 +642,8 @@ class EstimationService:
             self.store.put(fingerprint, synopsis.sketch)
             return
         self.memo.put(
-            fingerprint, self._estimator_key(estimator), "synopsis", synopsis,
+            fingerprint, self._estimator_key(estimator), "synopsis",
+            _memoized(synopsis),
             depends_on=(
                 _leaf_fingerprints(node) if node.op is not Op.LEAF else None
             ),
@@ -762,6 +764,20 @@ def _result(
     if router_meta is not None:
         result["router"] = dict(router_meta)
     return result
+
+
+def _memoized(synopsis: Synopsis) -> Synopsis:
+    """The form of *synopsis* the memo keeps.
+
+    An MNC sketch caches float64 views of its counts on first use, which
+    would grow a memo entry past the charge it was admitted with; the memo
+    keeps a :meth:`~repro.core.sketch.MNCSketch.counts_only` twin instead.
+    The caller's synopsis is untouched and keeps caching for the rest of
+    its DAG walk.
+    """
+    if isinstance(synopsis, MNCSynopsis):
+        return MNCSynopsis(synopsis.sketch.counts_only())
+    return synopsis
 
 
 def _leaf_fingerprints(expr: Expr) -> Tuple[str, ...]:

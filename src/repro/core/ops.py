@@ -37,11 +37,12 @@ def _collision_factor(counts_a: np.ndarray, counts_b: np.ndarray,
 
     ``lambda = sum_j(hc_A[j] * hc_B[j]) / (nnz(A) * nnz(B))`` measures how
     strongly the two operands' non-zeros collide: 0 for disjoint supports,
-    and large when mass concentrates in the same slices.
+    and large when mass concentrates in the same slices. The counts come
+    as the sketches' cached float64 views.
     """
     if nnz_a == 0 or nnz_b == 0:
         return 0.0
-    dot = float(counts_a.astype(np.float64) @ counts_b.astype(np.float64))
+    dot = float(counts_a @ counts_b)
     return dot / (float(nnz_a) * float(nnz_b))
 
 
@@ -58,8 +59,8 @@ def estimate_ewise_mult_nnz(h_a: MNCSketch, h_b: MNCSketch) -> float:
     to the structural bound ``min(nnz(A), nnz(B))``.
     """
     _check_same_shape(h_a, h_b, "ewise_mult")
-    lam = _collision_factor(h_a.hc, h_b.hc, h_a.total_nnz, h_b.total_nnz)
-    row_products = h_a.hr.astype(np.float64) * h_b.hr.astype(np.float64)
+    lam = _collision_factor(h_a.hc_f64, h_b.hc_f64, h_a.total_nnz, h_b.total_nnz)
+    row_products = h_a.hr_f64 * h_b.hr_f64
     estimate = float(row_products.sum()) * lam
     return min(estimate, float(min(h_a.total_nnz, h_b.total_nnz)))
 
@@ -304,10 +305,11 @@ def propagate_ewise_mult(
     """Sketch of ``A (*) B``: per-axis collision estimates (Eq 15)."""
     _check_same_shape(h_a, h_b, "ewise_mult")
     generator = resolve_rng(rng)
-    lam_c = _collision_factor(h_a.hc, h_b.hc, h_a.total_nnz, h_b.total_nnz)
-    lam_r = _collision_factor(h_a.hr, h_b.hr, h_a.total_nnz, h_b.total_nnz)
-    hr_est = h_a.hr.astype(np.float64) * h_b.hr.astype(np.float64) * lam_c
-    hc_est = h_a.hc.astype(np.float64) * h_b.hc.astype(np.float64) * lam_r
+    hr_a, hr_b, hc_a, hc_b = h_a.hr_f64, h_b.hr_f64, h_a.hc_f64, h_b.hc_f64
+    lam_c = _collision_factor(hc_a, hc_b, h_a.total_nnz, h_b.total_nnz)
+    lam_r = _collision_factor(hr_a, hr_b, h_a.total_nnz, h_b.total_nnz)
+    hr_est = hr_a * hr_b * lam_c
+    hc_est = hc_a * hc_b * lam_r
     hr = probabilistic_round(
         np.minimum(hr_est, np.minimum(h_a.hr, h_b.hr)), rng=generator,
         maximum=h_a.ncols,
@@ -329,12 +331,9 @@ def propagate_ewise_add(
     """Sketch of ``A + B`` (structure union): Eq 15 with union formula."""
     _check_same_shape(h_a, h_b, "ewise_add")
     generator = resolve_rng(rng)
-    lam_c = _collision_factor(h_a.hc, h_b.hc, h_a.total_nnz, h_b.total_nnz)
-    lam_r = _collision_factor(h_a.hr, h_b.hr, h_a.total_nnz, h_b.total_nnz)
-    hr_a = h_a.hr.astype(np.float64)
-    hr_b = h_b.hr.astype(np.float64)
-    hc_a = h_a.hc.astype(np.float64)
-    hc_b = h_b.hc.astype(np.float64)
+    hr_a, hr_b, hc_a, hc_b = h_a.hr_f64, h_b.hr_f64, h_a.hc_f64, h_b.hc_f64
+    lam_c = _collision_factor(hc_a, hc_b, h_a.total_nnz, h_b.total_nnz)
+    lam_r = _collision_factor(hr_a, hr_b, h_a.total_nnz, h_b.total_nnz)
     hr_est = hr_a + hr_b - hr_a * hr_b * lam_c
     hc_est = hc_a + hc_b - hc_a * hc_b * lam_r
     # Structural bounds: union of a row is at least the larger operand row

@@ -23,6 +23,12 @@ MatrixLike = Union[np.ndarray, sp.spmatrix, sp.sparray, list]
 _INT32_MAX = np.iinfo(np.int32).max
 
 
+def index_dtype(*bounds: int) -> type:
+    """CSR index dtype for a matrix whose shape and ``nnz`` are *bounds*:
+    int32 when every bound fits, as scipy itself chooses, else int64."""
+    return np.int32 if max(bounds, default=0) <= _INT32_MAX else np.int64
+
+
 def is_sparse(matrix: object) -> bool:
     """Return ``True`` when *matrix* is any scipy sparse container."""
     return sp.issparse(matrix)
@@ -140,10 +146,9 @@ def structure_view(csr: sp.csr_array, dtype: type = np.int8) -> sp.csr_array:
     narrowed to int32 copies: operands then meet scipy's kernels with one
     index dtype, so scipy never widens the other operand's arrays to int64.
     """
-    indices, indptr = csr.indices, csr.indptr
-    if max(*csr.shape, csr.nnz) <= _INT32_MAX:
-        indices = indices.astype(np.int32, copy=False)
-        indptr = indptr.astype(np.int32, copy=False)
+    index_type = index_dtype(*csr.shape, csr.nnz)
+    indices = csr.indices.astype(index_type, copy=False)
+    indptr = csr.indptr.astype(index_type, copy=False)
     view = sp.csr_array(
         (np.ones(csr.nnz, dtype=dtype), indices, indptr), shape=csr.shape
     )

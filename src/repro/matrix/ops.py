@@ -43,6 +43,7 @@ from repro.matrix.conversion import (
     MatrixLike,
     as_csr,
     boolean_structure,
+    index_dtype,
     structure_view,
 )
 
@@ -65,10 +66,10 @@ def _mask_structure(mask: np.ndarray) -> sp.csr_array:
     m, n = mask.shape
     row_counts = np.count_nonzero(mask, axis=1)
     nnz = int(row_counts.sum())
-    index_dtype = np.int32 if max(m, n, nnz) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(m + 1, dtype=index_dtype)
+    dtype = index_dtype(m, n, nnz)
+    indptr = np.zeros(m + 1, dtype=dtype)
     np.cumsum(row_counts, out=indptr[1:])
-    indices = np.broadcast_to(np.arange(n, dtype=index_dtype), mask.shape)[mask]
+    indices = np.broadcast_to(np.arange(n, dtype=dtype), mask.shape)[mask]
     result = sp.csr_array(
         (np.ones(nnz, dtype=np.int8), indices, indptr), shape=mask.shape
     )

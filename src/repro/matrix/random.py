@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ShapeError
-from repro.matrix.conversion import as_csr
+from repro.matrix.conversion import as_csr, index_dtype
 
 SeedLike = Union[int, np.random.Generator, None]
 
@@ -84,7 +84,11 @@ def random_sparse(
         data = np.ones(count, dtype=np.int8)
     else:
         data = rng.random(count) * 0.9 + 0.1
-    return as_csr(sp.coo_array((data, (rows, cols)), shape=(m, n)))
+    # int64 coordinates would make scipy keep int64 CSR indices.
+    dtype = index_dtype(m, n, count)
+    return as_csr(sp.coo_array(
+        (data, (rows.astype(dtype), cols.astype(dtype))), shape=(m, n)
+    ))
 
 
 def single_nnz_per_row(
@@ -159,8 +163,16 @@ def selection_matrix(
             f"[{selected.min()}, {selected.max()}]"
         )
     k = selected.size
-    data = np.ones(k, dtype=np.int8)
-    return as_csr(sp.coo_array((data, (np.arange(k), selected)), shape=(k, n)))
+    # One non-zero per row: the CSR arrays are the selection itself, in
+    # int32 whenever it fits.
+    dtype = index_dtype(k, n)
+    result = sp.csr_array(
+        (np.ones(k, dtype=np.int8), selected.astype(dtype),
+         np.arange(k + 1, dtype=dtype)),
+        shape=(k, n),
+    )
+    result.has_canonical_format = True
+    return result
 
 
 def diagonal_matrix(n: int, seed: SeedLike = None) -> sp.csr_array:

@@ -404,3 +404,240 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert memo.get("contended", "MNC", "nnz") == 1.0
+
+
+class _Sized:
+    """A memo value that reports its own size, like a synopsis."""
+
+    def __init__(self, nbytes):
+        self.nbytes = nbytes
+
+    def size_bytes(self):
+        return self.nbytes
+
+
+def _charge(nbytes):
+    from repro.catalog.memo import ENTRY_OVERHEAD_BYTES
+
+    return ENTRY_OVERHEAD_BYTES + nbytes
+
+
+class TestByteBudget:
+    """The memo's byte budget: charges, LRU eviction by bytes, release."""
+
+    def test_bytes_evict_in_lru_order(self):
+        memo = EstimateMemo(budget_bytes=3 * _charge(100))
+        for name in ("a", "b", "c"):
+            memo.put(name, "MNC", "synopsis", _Sized(100))
+        memo.get("a", "MNC", "synopsis")  # "b" is now least recent
+        memo.put("d", "MNC", "synopsis", _Sized(100))
+        assert ("b", "MNC", "synopsis") not in memo
+        for name in ("a", "c", "d"):
+            assert (name, "MNC", "synopsis") in memo
+        memo.put("e", "MNC", "synopsis", _Sized(2 * 100 + _charge(0)))
+        # Two more entries had to go, oldest first: "c", then "a".
+        assert [key[0] for key in memo._entries] == ["d", "e"]
+        stats = memo.stats()
+        assert stats["evictions"] == 3
+        assert stats["bytes_used"] == _charge(100) + _charge(200 + _charge(0))
+        assert stats["bytes_used"] <= stats["budget_bytes"] == 3 * _charge(100)
+
+    def test_scalars_are_charged_the_entry_overhead(self):
+        memo = EstimateMemo()
+        memo.put("fp", "MNC", "nnz", 12.0)
+        memo.put("fp", "auto", "route", (12.0, {"tier": "mnc"}))
+        assert memo.stats()["bytes_used"] == 2 * _charge(0)
+
+    def test_reput_replaces_its_charge(self):
+        memo = EstimateMemo(budget_bytes=10 * _charge(100))
+        memo.put("a", "MNC", "synopsis", _Sized(100))
+        memo.put("a", "MNC", "synopsis", _Sized(300))
+        assert memo.stats()["bytes_used"] == _charge(300)
+        memo.put("a", "MNC", "synopsis", _Sized(50))
+        assert memo.stats()["bytes_used"] == _charge(50)
+        assert len(memo) == 1 and memo.stats()["evictions"] == 0
+
+    def test_invalidate_and_clear_release_bytes(self):
+        memo = EstimateMemo()
+        memo.put("root", "MNC", "synopsis", _Sized(100), depends_on=["leaf"])
+        memo.put("root", "DMap", "synopsis", _Sized(200))
+        memo.put("other", "MNC", "synopsis", _Sized(400))
+        memo.put("third", "MNC", "nnz", 1.0)
+        assert memo.invalidate(fingerprint="leaf") == 1
+        assert memo.stats()["bytes_used"] == (
+            _charge(200) + _charge(400) + _charge(0)
+        )
+        assert memo.invalidate(estimator="DMap") == 1
+        assert memo.stats()["bytes_used"] == _charge(400) + _charge(0)
+        memo.clear()
+        assert memo.stats()["bytes_used"] == 0
+        memo.put("again", "MNC", "synopsis", _Sized(100))
+        assert memo.stats()["bytes_used"] == _charge(100)
+
+    def test_byte_eviction_unlinks_dependencies(self):
+        memo = EstimateMemo(budget_bytes=2 * _charge(100))
+        memo.put("r1", "MNC", "synopsis", _Sized(100), depends_on=["leaf"])
+        memo.put("r2", "MNC", "synopsis", _Sized(100), depends_on=["other"])
+        memo.put("r3", "MNC", "synopsis", _Sized(100))  # evicts r1 by bytes
+        assert ("r1", "MNC", "synopsis") not in memo
+        assert memo.stats()["dependency_tracked"] == 1
+        assert memo.invalidate(fingerprint="leaf") == 0
+        assert memo.invalidate(fingerprint="other") == 1
+
+    def test_oversized_entry_is_returned_but_not_admitted(self):
+        memo = EstimateMemo(budget_bytes=_charge(100))
+        memo.put("big", "MNC", "synopsis", _Sized(100))
+        # A re-put too large for the budget drops the stale value too.
+        memo.put("big", "MNC", "synopsis", _Sized(101))
+        assert len(memo) == 0 and memo.stats()["bytes_used"] == 0
+        huge = _Sized(10 * _charge(100))
+        assert memo.memoize("huge", "MNC", "synopsis", lambda: huge) is huge
+        assert len(memo) == 0 and memo.stats()["bytes_used"] == 0
+
+    def test_oversized_memoize_waiters_all_finish(self):
+        """Waiters on a value the memo cannot keep take the writer's value
+        instead of hanging or recomputing it one after another."""
+        memo = EstimateMemo(budget_bytes=_charge(100))
+        barrier = threading.Barrier(6)
+        computes = []
+        values = []
+
+        def compute():
+            computes.append(1)
+            time.sleep(0.05)  # widen the window so every waiter queues
+            return _Sized(1 << 20)
+
+        def worker():
+            barrier.wait()
+            values.append(memo.memoize("huge", "MNC", "synopsis", compute))
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(values) == 6
+        assert len(set(map(id, values))) == len(computes)
+        assert len(computes) < 6
+        assert len(memo) == 0 and memo.stats()["bytes_used"] == 0
+
+    def test_threaded_accounting_matches_live_entries(self):
+        """Concurrent put/memoize/invalidate leave ``bytes_used`` equal to
+        the charges of the live entries, within the budget."""
+        from repro.catalog.memo import entry_charge
+
+        budget = 40 * _charge(100)
+        memo = EstimateMemo(budget_bytes=budget)
+        barrier = threading.Barrier(6)
+        over_budget = []
+
+        def worker(worker_id):
+            barrier.wait()
+            for index in range(400):
+                key = f"fp{(index * 7 + worker_id) % 97}"
+                size = (index * 37 + worker_id * 11) % 300
+                if index % 5 == 4:
+                    memo.invalidate(fingerprint=f"leaf{index % 3}")
+                elif index % 2:
+                    memo.put(
+                        key, "MNC", "synopsis", _Sized(size),
+                        depends_on=[f"leaf{index % 3}"],
+                    )
+                else:
+                    memo.memoize(
+                        key, "MNC", "synopsis", lambda size=size: _Sized(size)
+                    )
+                if memo.stats()["bytes_used"] > budget:
+                    over_budget.append(index)
+
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not over_budget
+        with memo._lock:
+            live = sum(entry_charge(value) for value in memo._entries.values())
+        stats = memo.stats()
+        assert stats["bytes_used"] == live <= budget
+        assert stats["evictions"] > 0
+
+
+def _array_footprint(memo):
+    """Bytes of every distinct array reachable from the memo's values,
+    float64 views included; a view counts its whole base buffer."""
+    import numpy as np
+
+    from repro.estimators.mnc import MNCSynopsis
+
+    with memo._lock:
+        values = list(memo._entries.values())
+    buffers = {}
+    for value in values:
+        if isinstance(value, MNCSynopsis):
+            value = value.sketch
+        for item in getattr(value, "__dict__", {}).values():
+            if not isinstance(item, np.ndarray):
+                continue
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            buffers[id(item)] = item.nbytes
+    return sum(buffers.values())
+
+
+class TestFootprintThroughService:
+    def test_cold_dags_keep_real_footprint_within_budget(self):
+        """A cold stream of DAGs over 2000-side leaves never holds more
+        array bytes in the memo than it charges, nor more than its budget,
+        although Algorithm 1 runs on memoized synopses throughout."""
+        import numpy as np
+
+        from repro.catalog.service import EstimationService
+        from repro.ir.nodes import ewise_add, ewise_mult, leaf, matmul, transpose
+        from repro.matrix.random import (
+            banded_matrix,
+            permutation_matrix,
+            power_law_columns,
+            random_sparse,
+        )
+
+        side = 2000
+        matrices = [
+            random_sparse(side, side, 2e-3, seed=1),
+            random_sparse(side, side, 5e-4, seed=2),
+            power_law_columns(side, side, 4000, seed=3),
+            permutation_matrix(side, seed=4),
+            banded_matrix(side, 2),
+        ]
+        budget = 1 << 20  # ~30 propagated 2000-side synopses
+        service = EstimationService("mnc", memo=EstimateMemo(budget_bytes=budget))
+        for index, matrix in enumerate(matrices):
+            service.register(matrix, name=f"L{index}")
+        rng = np.random.default_rng(7)
+        binary = (matmul, ewise_mult, ewise_add)
+        shared = []
+
+        def node(depth):
+            if depth == 0:
+                return leaf(matrices[rng.integers(len(matrices))])
+            if shared and rng.random() < 0.3:
+                return shared[rng.integers(len(shared))]
+            op = rng.integers(4)
+            built = (
+                transpose(node(depth - 1)) if op == 3
+                else binary[op](node(depth - 1), node(depth - 1))
+            )
+            shared.append(built)
+            return built
+
+        peak = 0
+        for _ in range(300):
+            service.estimate(node(int(rng.integers(2, 5))))
+            footprint = _array_footprint(service.memo)
+            stats = service.memo.stats()
+            assert footprint <= stats["bytes_used"] <= budget
+            peak = max(peak, footprint)
+        stats = service.memo.stats()
+        assert stats["evictions"] > 0 and stats["hits"] > 0
+        assert peak > budget // 2

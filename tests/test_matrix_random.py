@@ -146,3 +146,61 @@ class TestStructuredShapes:
     def test_outer_pair_index_validated(self):
         with pytest.raises(ShapeError):
             outer_product_pair(4, dense_index=4)
+
+
+class TestInt32Indices:
+    """Generators build int32 CSR indices whenever shape and nnz fit; the
+    structures (hence fingerprints, which hash int64-normalized indices)
+    are the ones the int64 construction produced."""
+
+    #: (seed, fingerprint) of the int64-index construction of each input.
+    RANDOM_SPARSE = {
+        0: "2e5fc8c8719b0516f0aa24cddd68a384c51b802d",
+        1: "4a23a36d154b711e311581a9ef552254369e3608",
+        2: "6eeb76bd1deb5d7fb2b8af06ad50e4576568d4ce",
+    }
+    RANDOM_ONES = {
+        0: "73b4fa10152a31972c8d79edbd3d4536a400a540",
+        1: "20f0ea5e827177fabf1b4623f4e95e8e71552b91",
+        2: "3732e928ce9f0b5a518db2e1244ae8d1324c91fa",
+    }
+    SELECTION = {
+        0: "131ec6cc5478381af9c63f4f841bf2e4e0135567",
+        1: "76b18596a4e6d7ea680f12e8f27a711815d49aae",
+        2: "676e0f96383ca28b9c7222041a6ed191cbd482dd",
+    }
+
+    @staticmethod
+    def _assert_int32(matrix):
+        assert matrix.indices.dtype == np.int32
+        assert matrix.indptr.dtype == np.int32
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_sparse_ultra_sparse_path(self, seed):
+        from repro.catalog.fingerprint import fingerprint_matrix
+
+        matrix = random_sparse(400, 300, 0.1, seed=seed)
+        self._assert_int32(matrix)
+        assert matrix.has_canonical_format and matrix.data.dtype == np.float64
+        assert fingerprint_matrix(matrix) == self.RANDOM_SPARSE[seed]
+        ones = random_sparse(50, 70, 0.02, seed=seed, values="ones")
+        self._assert_int32(ones)
+        assert ones.data.dtype == np.int8
+        assert fingerprint_matrix(ones) == self.RANDOM_ONES[seed]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_selection_matrix(self, seed):
+        from repro.catalog.fingerprint import fingerprint_matrix
+
+        selected = np.random.default_rng(seed).integers(0, 40, size=25)
+        matrix = selection_matrix(selected, 40)
+        self._assert_int32(matrix)
+        assert matrix.has_canonical_format and matrix.data.dtype == np.int8
+        assert fingerprint_matrix(matrix) == self.SELECTION[seed]
+        dense = np.zeros((25, 40), dtype=np.int8)
+        dense[np.arange(25), selected] = 1
+        np.testing.assert_array_equal(matrix.toarray(), dense)
+
+    def test_small_examples(self):
+        self._assert_int32(selection_matrix([3, 1, 7], 10))
+        self._assert_int32(random_sparse(400, 300, 0.1))

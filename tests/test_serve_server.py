@@ -231,6 +231,71 @@ class TestBitIdentity:
                 served_catalog[section][field] == direct_catalog[section][field]
             ), (section, field)
 
+    def test_server_matches_direct_service_under_eviction(self):
+        """With a memo budget of a few synopses on both sides, evictions
+        land mid-sequence, yet every answer — including whether it was
+        cached — matches the direct service, and only roots still memoized
+        are answered on the event loop."""
+        from repro.catalog.memo import EstimateMemo
+        from repro.observability.metrics import METRICS
+        from repro.serve.protocol import decode_expr
+
+        budget = 8192  # a few 50x50 synopses (~1.4 KB each) and roots
+        service = EstimationService(
+            store=SketchStore(num_shards=4),
+            memo=EstimateMemo(budget_bytes=budget),
+        )
+        handle = start_server_thread(EstimationServer(service=service, port=0))
+        client = ServeClient(handle.host, handle.port)
+        try:
+            x, w = _matrices()
+            v = random_sparse(30, 50, 0.1, seed=13)
+            direct = EstimationService(memo=EstimateMemo(budget_bytes=budget))
+            registry = MatrixRegistry(direct)
+            for name, matrix in (("X", x), ("W", w), ("V", v)):
+                client.register(name, matrix)
+                registry.register(name, matrix)
+
+            xw = MATMUL_XW
+            wv = {"op": "matmul", "inputs": [{"ref": "W"}, {"ref": "V"}]}
+            xwv = {"op": "matmul", "inputs": [xw, {"ref": "V"}]}
+            x_wv = {"op": "matmul", "inputs": [{"ref": "X"}, wv]}
+            xwvx = {"op": "matmul", "inputs": [xwv, {"ref": "X"}]}
+            wvx = {"op": "matmul", "inputs": [wv, {"ref": "X"}]}
+            both = {"op": "ewise_add", "inputs": [xwv, x_wv]}
+            masked = {"op": "ewise_mult", "inputs": [xwvx, {"ref": "X"}]}
+            sym = {"op": "ewise_add", "inputs": [wvx, {"op": "transpose", "inputs": [wvx]}]}
+            distinct = [xw, xwv, x_wv, xwvx, wvx, both, masked, sym]
+            wires = distinct + [xw, masked, xwv, both] + distinct[::-1]
+
+            inline = METRICS.cell("serve.estimate.inline")
+            inline_before = inline.value
+            cached = []
+            for wire in wires:
+                served = client.estimate(wire)
+                expected = direct.submit(
+                    ServiceRequest.estimate(decode_expr(wire, registry.resolve))
+                )
+                assert served["nnz"] == expected["nnz"], wire
+                assert served["fingerprint"] == expected["fingerprint"], wire
+                assert served["cached"] == expected["cached"], wire
+                cached.append(served["cached"])
+            # Some repeats were answered from the memo, others were evicted
+            # before they came back.
+            repeats = cached[len(distinct):]
+            assert any(repeats) and not all(repeats)
+            assert inline.value - inline_before == sum(cached)
+
+            served_memo = client.stats()["catalog"]["memo"]
+            direct_memo = direct.stats()["memo"]
+            assert served_memo["evictions"] > 0
+            for field in ("hits", "misses", "evictions", "entries", "bytes_used"):
+                assert served_memo[field] == direct_memo[field], field
+            assert 0 < served_memo["bytes_used"] <= served_memo["budget_bytes"] == budget
+        finally:
+            client.close()
+            handle.stop()
+
 
 class TestInlineMemoHits:
     def test_read_never_overtakes_queued_work(self, server, monkeypatch):
