@@ -26,7 +26,8 @@ explicitly), the kernelized benches are re-timed per backend after a
 payload gains a ``backends`` section with numba-vs-numpy speedups.
 
 Results land in ``benchmarks/results/BENCH_hotpath.json`` together with a
-fixed numpy calibration time (for cross-machine normalization) and, when
+fixed numpy calibration time (for cross-machine normalization; timed on
+one BLAS thread, like every benchmark it normalizes) and, when
 ``benchmarks/baselines/hotpath_pre_pr.json`` has an entry for the current
 scale, speedup ratios against the pre-overhaul code. Set
 ``REPRO_BENCH_ENFORCE_HOTPATH=1`` to turn the speedup targets (>=2x on
@@ -43,22 +44,31 @@ under pytest.
 
 from __future__ import annotations
 
-import gc
-import json
 import os
-import time
-from pathlib import Path
 
-import numpy as np
+# One BLAS thread, set before numpy loads (as e2ebench's pin_environment
+# does): the benchmarks run on one thread, and the calibration's 384x384
+# matmul at the default thread count reads ~6x faster or slower with the
+# machine's cores and load, so a verdict normalized by it would follow
+# the calibration instead of the code.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
 
-from conftest import bench_scale, write_bench_json
-from repro import backends
-from repro.core.estimate import estimate_product_nnz
-from repro.core.propagate import propagate_product
-from repro.core.sketch import MNCSketch
-from repro.matrix.random import random_sparse
-from repro.observability import METRICS
-from repro.optimizer.mmchain import optimize_chain_sparse
+import gc  # noqa: E402
+import json  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from conftest import bench_scale, write_bench_json  # noqa: E402
+from repro import backends  # noqa: E402
+from repro.core.estimate import estimate_product_nnz  # noqa: E402
+from repro.core.propagate import propagate_product  # noqa: E402
+from repro.core.sketch import MNCSketch  # noqa: E402
+from repro.matrix.random import random_sparse  # noqa: E402
+from repro.observability import METRICS  # noqa: E402
+from repro.optimizer.mmchain import optimize_chain_sparse  # noqa: E402
 
 BASELINE_DIR = Path(__file__).parent / "baselines"
 PRE_PR_FILE = BASELINE_DIR / "hotpath_pre_pr.json"
@@ -100,39 +110,68 @@ def _dims(scale: float) -> tuple[int, int]:
     return dim, chain_dim
 
 
-def _time_per_op(fn, *, min_seconds: float = 0.08, rounds: int = 5) -> dict:
-    """Best-of-*rounds* seconds per call of ``fn``.
+#: Timed passes over the benches; each pass times one round of every bench
+#: and of the calibration (see :func:`_time_interleaved`).
+PASSES = 15
 
-    The repetition count is sized from a pilot call so each round runs for
-    roughly *min_seconds*, keeping timer resolution out of the result.
+
+def _time_interleaved(
+    fns: dict[str, tuple], passes: int = PASSES
+) -> tuple[dict, float]:
+    """Best-of-*passes* seconds per call of each bench, plus the best
+    calibration round, with the rounds interleaved.
+
+    *fns* maps a name to ``(callable, {"min_seconds": ...})``. A shared
+    2-CPU VM runs a process at half speed for stretches of 0.2-2 s; a
+    bench timed in back-to-back rounds can spend all of them inside one
+    such stretch, and its verdict then follows the stretch. So each pass
+    times one round of every bench in turn, and one round of the
+    calibration that normalizes them, and each keeps its fastest round.
+    A bench's repetition count is sized from a pilot call so each round
+    runs for roughly its ``min_seconds`` (default 0.08), keeping timer
+    resolution out of the result.
+
+    Returns ``(name -> {"seconds_per_op", "reps"}, calibration_seconds)``.
     """
-    fn()  # warm-up: populates lazy caches, page-faults buffers
-    start = time.perf_counter()
-    fn()
-    pilot = time.perf_counter() - start
-    reps = max(3, min(2000, int(min_seconds / max(pilot, 1e-9))))
-    best = float("inf")
+    reps = {}
+    for name, (fn, opts) in fns.items():
+        fn()  # warm-up: populates lazy caches, page-faults buffers
+        start = time.perf_counter()
+        fn()
+        pilot = time.perf_counter() - start
+        min_seconds = opts.get("min_seconds", 0.08)
+        reps[name] = max(3, min(2000, int(min_seconds / max(pilot, 1e-9))))
+    best = dict.fromkeys(fns, float("inf"))
+    calibration = float("inf")
     gc.collect()
     gc_was_enabled = gc.isenabled()
     gc.disable()  # keep collection pauses out of the timed rounds
     try:
-        for _ in range(rounds):
-            start = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            best = min(best, (time.perf_counter() - start) / reps)
+        for _ in range(passes):
+            for name, (fn, _) in fns.items():
+                count = reps[name]
+                start = time.perf_counter()
+                for _ in range(count):
+                    fn()
+                best[name] = min(best[name], (time.perf_counter() - start) / count)
+            calibration = min(calibration, _calibration_seconds(rounds=1))
     finally:
         if gc_was_enabled:
             gc.enable()
-    return {"seconds_per_op": best, "reps": reps}
+    timed = {
+        name: {"seconds_per_op": best[name], "reps": reps[name]} for name in fns
+    }
+    return timed, calibration
 
 
-def _calibration_seconds() -> float:
-    """Fixed numpy workload used to normalize timings across machines."""
+def _calibration_seconds(rounds: int = 5) -> float:
+    """Fixed numpy workload used to normalize timings across machines
+    (on the one BLAS thread pinned at the top of this module): the best
+    of *rounds* chains of four 384x384 matmuls."""
     rng = np.random.default_rng(0)
     a = rng.random((384, 384))
     best = float("inf")
-    for _ in range(5):
+    for _ in range(rounds):
         start = time.perf_counter()
         for _ in range(4):
             a = a @ a
@@ -221,7 +260,7 @@ def _bench_closures(scale: float) -> tuple[int, int, dict]:
             lambda: optimize_chain_sparse(
                 sketches, rng=np.random.default_rng(0), workers=1
             ),
-            {"min_seconds": 0.2, "rounds": 3},
+            {"min_seconds": 0.2},
         ),
     }
     return dim, chain_dim, fns
@@ -247,14 +286,12 @@ def run_hotpath_benchmark(scale: float | None = None) -> dict:
     # REPRO_BACKEND says — backend legs get their own payload section.
     with backends.use_backend("numpy"):
         backends.warmup()
-        benches: dict[str, dict] = {
-            name: _time_per_op(fn, **opts) for name, (fn, opts) in fns.items()
-        }
+        benches, calibration = _time_interleaved(fns)
 
     payload: dict = {
         "scale": scale,
         "dims": {"micro": dim, "chain": chain_dim, "chain_length": CHAIN_LENGTH},
-        "calibration_seconds": _calibration_seconds(),
+        "calibration_seconds": calibration,
         "backend_reference": "numpy",
         "benchmarks": benches,
         "construct_speedup_within_run": (
@@ -267,10 +304,9 @@ def run_hotpath_benchmark(scale: float | None = None) -> dict:
     for name in _extra_backends():
         with backends.use_backend(name):
             jit_seconds = backends.warmup()
-            timed = {
-                bench: _time_per_op(fns[bench][0], **fns[bench][1])
-                for bench in BACKEND_BENCHES
-            }
+            timed, _ = _time_interleaved(
+                {bench: fns[bench] for bench in BACKEND_BENCHES}
+            )
         backend_results[name] = {
             "jit_compile_seconds": jit_seconds,
             "benchmarks": timed,

@@ -14,9 +14,9 @@ definitions under the interpreter: no name selects it, but tests and the
 :func:`repro.backends.use_backend` to check the kernels against numpy on
 machines without numba.
 
-``nogil=True`` matters for the chain DP: ``optimize_chain_sparse``
-evaluates one span's cells from a thread pool, and compiled kernels
-release the GIL so those threads actually overlap. ``cache=True``
+``nogil=True`` lets other Python threads run while a compiled kernel
+does (a server's event loop keeps answering while its estimation thread
+is inside one). ``cache=True``
 persists compiled machine code next to ``kernels.py``, so only the
 first process on a machine pays the compile; either way
 ``repro.backends.warmup()`` moves that cost out of the serving/benching

@@ -9,10 +9,11 @@ backend) or run as-is under the interpreter (a directly constructed
 without numba).
 
 Byte-identity with the numpy backend holds through exact arithmetic:
-integer-valued float64 and int64 sums are exact, bitwise ORs are exact,
-and the rounding kernels' element-wise float steps mirror the numpy
-sequence op for op. The density-map term has no kernel here: every
-backend runs the numpy implementation of it (see
+integer-valued float64 and int64 sums are exact (count entries are read
+through ``int()``, so a sum of int32 counts accumulates in int64),
+bitwise ORs are exact, and the rounding kernels' element-wise float
+steps mirror the numpy sequence op for op. The density-map term has no
+kernel here: every backend runs the numpy implementation of it (see
 ``repro.backends.numpy_backend``).
 """
 
@@ -56,13 +57,14 @@ def prob_round_into(values, draws, maximum, out):
 
 
 def scale_round_into(histogram, factor, draws, maximum, out):
-    """Fused Eq 11 scale + probabilistic round of an int64 histogram.
+    """Fused Eq 11 scale + probabilistic round of a count histogram.
 
-    ``histogram[i] * factor`` (int64 -> float64 conversion is exact for
+    ``histogram[i] * factor`` (integer-to-float64 conversion is exact for
     counts) followed by the rounding sequence of :func:`prob_round_into`
     minus its clamp: Eq 11 scales non-negative counts by a factor
     ``>= 0``, so ``x`` is never negative and the result is bit for bit
-    the unfused one.
+    the unfused one. The cap applies to the wide integer ``r``, before
+    the store into the (int32) count vector.
     """
     for i in range(histogram.shape[0]):
         x = histogram[i] * factor
@@ -76,24 +78,26 @@ def scale_round_into(histogram, factor, draws, maximum, out):
 
 
 def reconcile_bulk(target, remaining):
-    """Bulk phase of histogram-total reconciliation (exact int64).
+    """Bulk phase of histogram-total reconciliation (exact integers).
 
     Binary-searches the largest per-entry decrement ``r`` whose total
     removal ``sum(min(target, r))`` still fits in *remaining*, applies
     it in place (``target = max(target - r, 0)``), and returns the units
-    left for the driver's random partial round.
+    left for the driver's random partial round. Entries are read through
+    ``int()``: the removal totals outgrow an int32 count vector's width.
     """
     n = target.shape[0]
     hi = 0
     for i in range(n):
-        if target[i] > hi:
-            hi = target[i]
+        v = int(target[i])
+        if v > hi:
+            hi = v
     lo = 0
     while lo < hi:
         mid = (lo + hi + 1) // 2
         removed = 0
         for i in range(n):
-            v = target[i]
+            v = int(target[i])
             if v < mid:
                 removed += v
             else:
@@ -105,7 +109,7 @@ def reconcile_bulk(target, remaining):
     if lo > 0:
         removed = 0
         for i in range(n):
-            v = target[i]
+            v = int(target[i])
             if v < lo:
                 c = v
             else:

@@ -112,7 +112,10 @@ class NumpyBackend:
 
         ``draws`` are the caller's uniform [0, 1) variates (one per entry,
         already consumed from the caller's generator); ``maximum < 0``
-        disables the cap; ``out`` is int64.
+        disables the cap; ``out`` is an integer count vector (int32 for
+        sketches). The bump and the cap are applied in float64, where they
+        are exact, before the one cast into ``out``: a value above the
+        count width is capped, never wrapped.
         """
         n = values.shape[0]
         clipped = self._round_clip.get(n)
@@ -120,12 +123,7 @@ class NumpyBackend:
         floor = self._round_floor.get(n)
         np.floor(clipped, out=floor)
         np.subtract(clipped, floor, out=clipped)
-        bump = self._round_bump.get(n)
-        np.less(draws, clipped, out=bump)
-        np.copyto(out, floor, casting="unsafe")
-        out += bump
-        if maximum >= 0:
-            np.minimum(out, maximum, out=out)
+        self._bump_cap_cast(draws, clipped, floor, maximum, out)
 
     def scale_round_into(
         self,
@@ -135,13 +133,15 @@ class NumpyBackend:
         maximum: int,
         out: np.ndarray,
     ) -> None:
-        """Fused Eq 11 scale + probabilistic round of an int64 histogram.
+        """Fused Eq 11 scale + probabilistic round of a count histogram.
 
         Equivalent to ``prob_round_into(histogram * factor, ...)`` for a
         non-negative histogram and factor ``>= 0`` (Eq 11's only inputs):
         the product is then never negative, so the clamp is skipped, and
         the fusion saves the intermediate array without changing a bit
-        (``int64 -> float64`` conversion is exact for counts).
+        (integer-to-float64 conversion is exact for counts). A scaled
+        entry may exceed the count width before its cap (a full row
+        scaled towards a dense product), so it is capped in float64.
         """
         n = histogram.shape[0]
         scaled = self._scale.get(n)
@@ -149,15 +149,27 @@ class NumpyBackend:
         floor = self._round_floor.get(n)
         np.floor(scaled, out=floor)
         np.subtract(scaled, floor, out=scaled)
-        bump = self._round_bump.get(n)
-        np.less(draws, scaled, out=bump)
-        np.copyto(out, floor, casting="unsafe")
-        out += bump
+        self._bump_cap_cast(draws, scaled, floor, maximum, out)
+
+    def _bump_cap_cast(
+        self,
+        draws: np.ndarray,
+        frac: np.ndarray,
+        floor: np.ndarray,
+        maximum: int,
+        out: np.ndarray,
+    ) -> None:
+        """``out = min(floor + (draws < frac), maximum)``, computed in
+        float64 (exact for integer values below 2**53) and cast once."""
+        bump = self._round_bump.get(floor.shape[0])
+        np.less(draws, frac, out=bump)
+        np.add(floor, bump, out=floor)
         if maximum >= 0:
-            np.minimum(out, maximum, out=out)
+            np.minimum(floor, maximum, out=floor)
+        np.copyto(out, floor, casting="unsafe")
 
     def reconcile_bulk(self, target: np.ndarray, remaining: int) -> int:
-        """Bulk phase of ``_reconcile_totals`` (int64, exact arithmetic).
+        """Bulk phase of ``_reconcile_totals`` (exact integer arithmetic).
 
         Finds the largest full-round count ``r`` with
         ``sum(min(target, r)) <= remaining``, applies
@@ -236,9 +248,9 @@ class NumpyBackend:
         self.dm_collision_log1p(v, w, -0.125, scratch)
         self.tree_sum(scratch)
         draws = np.array([0.1, 0.9, 0.5, 0.2], dtype=np.float64)
-        out_i = np.empty(4, dtype=np.int64)
+        out_i = np.empty(4, dtype=np.int32)
         self.prob_round_into(v, draws, -1, out_i)
-        hist = np.array([4, 0, 2, 1], dtype=np.int64)
+        hist = np.array([4, 0, 2, 1], dtype=np.int32)
         self.scale_round_into(hist, 0.5, draws, 3, out_i)
         self.reconcile_bulk(out_i, 1)
         bits = np.array([[3, 1], [0, 255]], dtype=np.uint8)

@@ -9,13 +9,14 @@ survives rebuilding the expression from scratch: the SparsEst runner uses
 exactly this to keep ground-truth nnz across per-seed DAG reconstructions.
 
 The memo is thread-safe and LRU-bounded twice: by entry count and by a
-byte budget (:data:`DEFAULT_BUDGET_BYTES`). Every entry is charged
-:data:`ENTRY_OVERHEAD_BYTES` plus, for a value with a ``size_bytes()``
-method (a synopsis), what that reports, so a memo full of propagated MNC
-synopses stays within its budget; a value larger than the whole budget is
-returned to its caller but never admitted. Charges are fixed at ``put``
-time, so a value must not grow once memoized — the service memoizes MNC
-sketches that never cache float64 views for exactly this reason. The memo
+byte budget (:data:`DEFAULT_BUDGET_BYTES`). Every entry is charged by
+:func:`entry_charge`, the rule the sketch store charges by too, so a memo
+full of propagated MNC synopses stays within its budget; a value larger
+than the whole budget is returned to its caller but never admitted.
+Charges are fixed at ``put`` time, so a value must not outgrow its charge
+once memoized: an MNC sketch is charged the float64 views it may cache,
+and the service memoizes ``counts_only()`` twins, which cache none and are
+charged their counts alone. The memo
 also supports explicit invalidation by fingerprint and/or estimator — the
 hook for workloads where a registered matrix is replaced under the same
 logical name.
@@ -52,11 +53,12 @@ from repro.observability.metrics import metric_inc, metric_set
 DEFAULT_MAX_ENTRIES = 65536
 
 #: Default byte budget. The service memoizes every propagated synopsis, and
-#: an MNC synopsis of an m x n intermediate holds O(m + n) counts (~0.3 MB
-#: at 20000 x 20000), so this holds about a thousand of them. It is the
-#: smallest budget that kept e2ebench ``serve_cold`` latency within ~10% of
-#: an unbounded memo (docs/PERFORMANCE.md, "The memo's byte budget").
-DEFAULT_BUDGET_BYTES = 320 * 1024 * 1024
+#: an MNC synopsis of an m x n intermediate holds O(m + n) int32 counts
+#: (~0.16 MB at 20000 x 20000), so this holds about a thousand of them: as
+#: many as the 320 MiB that int64 counts needed, the smallest budget that
+#: kept e2ebench ``serve_cold`` latency within ~10% of an unbounded memo
+#: (docs/PERFORMANCE.md, "The memo's byte budget").
+DEFAULT_BUDGET_BYTES = 160 * 1024 * 1024
 
 #: Fixed charge per entry: its key, value object and index slots.
 ENTRY_OVERHEAD_BYTES = 512
@@ -67,11 +69,19 @@ MemoKey = Tuple[str, str, str]
 
 
 def entry_charge(value: Any) -> int:
-    """Bytes an entry holding *value* is charged against the budget."""
-    size_bytes = getattr(value, "size_bytes", None)
-    if size_bytes is None:
-        return ENTRY_OVERHEAD_BYTES
-    return ENTRY_OVERHEAD_BYTES + int(size_bytes())
+    """Bytes an entry holding *value* is charged, in the memo and in the
+    sketch store alike.
+
+    :data:`ENTRY_OVERHEAD_BYTES` plus the value's ``footprint_bytes()``
+    when it has one (an MNC sketch or synopsis: its counts and, unless it
+    is a ``counts_only()`` twin, the float64 views it caches), else its
+    ``size_bytes()`` (other synopses), else nothing more (scalars).
+    """
+    for method in ("footprint_bytes", "size_bytes"):
+        measure = getattr(value, method, None)
+        if measure is not None:
+            return ENTRY_OVERHEAD_BYTES + int(measure())
+    return ENTRY_OVERHEAD_BYTES
 
 
 class _Pending(threading.Event):

@@ -6,9 +6,11 @@ distributed cluster (Section 3.1) — that the optimizer consults many times.
 in-memory cache of :class:`~repro.core.sketch.MNCSketch` objects keyed by
 structural fingerprints (:mod:`repro.catalog.fingerprint`), with
 
-- **LRU eviction under a byte budget** — entry sizes come from
-  :meth:`MNCSketch.size_bytes`; the in-memory total never exceeds the
-  budget, which the concurrency tests assert under thread hammering;
+- **LRU eviction under a byte budget** — each entry is charged by
+  :func:`repro.catalog.memo.entry_charge`, the estimate memo's rule: a
+  leaf sketch's counts plus the float64 views Algorithm 1 caches on it, so
+  the arrays the store holds never exceed the budget, which the
+  concurrency tests assert under thread hammering;
 - **fingerprint sharding** — ``num_shards`` independently locked shards,
   each with an even slice of the budget. Fingerprints are uniform hex
   digests, so routing by key prefix (:func:`shard_index`) balances shards
@@ -47,6 +49,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+from repro.catalog.memo import entry_charge
 from repro.core.serialize import load_sketch, save_sketch
 from repro.core.sketch import MNCSketch
 from repro.errors import SketchError
@@ -440,7 +443,9 @@ class SketchStore:
         return len(expired)
 
     def _admit(self, shard: _Shard, key: str, sketch: MNCSketch) -> None:
-        size = sketch.size_bytes()
+        # Leaves stay full sketches (a counts_only twin would re-derive its
+        # float64 views on every use), so they are charged those views.
+        size = entry_charge(sketch)
         previous = shard.sizes.pop(key, None)
         if previous is not None:
             del shard.entries[key]

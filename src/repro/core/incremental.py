@@ -54,7 +54,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.sketch import MNCSketch
+from repro.core.sketch import COUNT_DTYPE, MNCSketch
 from repro.errors import ShapeError, SketchError
 from repro.matrix.conversion import MatrixLike, as_csc, as_csr
 from repro.observability.metrics import metric_inc
@@ -322,9 +322,10 @@ class IncrementalSketch:
             np.split(cindices, csc.indptr[1:-1]) if n else []
         )
         # Counts and extensions come from the CSR arrays alone (as in
-        # MNCSketch.from_matrix); the CSC above only feeds _cols.
-        self._hr = np.diff(csr.indptr).astype(_INT)
-        self._hc = np.bincount(indices, minlength=n).astype(_INT, copy=False)
+        # MNCSketch.from_matrix); the CSC above only feeds _cols. They are
+        # kept at the sketch's count width, so snapshots gather them as is.
+        self._hr = np.diff(csr.indptr).astype(COUNT_DTYPE)
+        self._hc = np.bincount(indices, minlength=n).astype(COUNT_DTYPE)
         # Full extension vectors, valid everywhere at construction (the
         # from_matrix gating — drop when all-zero or max counts <= 1 —
         # is applied at materialization, not here).
@@ -332,11 +333,11 @@ class IncrementalSketch:
         row_ids = np.repeat(np.arange(m), self._hr)
         self._her = np.bincount(
             row_ids[single_cols[indices]], minlength=m
-        ).astype(_INT, copy=False)
+        ).astype(COUNT_DTYPE)
         single_rows = self._hr == 1
         self._hec = np.bincount(
             indices[np.repeat(single_rows, self._hr)], minlength=n
-        ).astype(_INT, copy=False)
+        ).astype(COUNT_DTYPE)
         self._row_alive = np.ones(m, dtype=bool)
         self._col_alive = np.ones(n, dtype=bool)
         self._row_top = m

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.propagate import _reconcile_totals
 from repro.core.rounding import SeedLike, probabilistic_round, resolve_rng
-from repro.core.sketch import MNCSketch
+from repro.core.sketch import COUNT_DTYPE, MNCSketch, empty_counts
 from repro.errors import ShapeError
 
 
@@ -173,12 +173,12 @@ def propagate_diag_extract(h: MNCSketch, rng: SeedLike = None) -> MNCSketch:
         raise ShapeError(f"diag extraction expects a square sketch, got {h.shape}")
     m = h.nrows
     if h.total_nnz == 0 or m == 0:
-        hr = np.zeros(m, dtype=np.int64)
+        hr = np.zeros(m, dtype=COUNT_DTYPE)
     else:
         prob = (h.hr.astype(np.float64) * h.hc.astype(np.float64)) / h.total_nnz
         np.clip(prob, 0.0, 1.0, out=prob)
         hr = probabilistic_round(prob, rng=rng, maximum=1)
-    hc = np.array([int(hr.sum())], dtype=np.int64)
+    hc = np.array([int(hr.sum())], dtype=COUNT_DTYPE)
     return MNCSketch.trusted(
         shape=(m, 1), hr=hr, hc=hc, her=None, hec=None,
         fully_diagonal=False, exact=False,
@@ -211,12 +211,14 @@ def propagate_reshape(
         return h
     if rows > 0 and m % rows == 0:
         group = m // rows
-        hr = h.hr.reshape(rows, group).sum(axis=1)
+        # Group sums are row counts of the result (at most cols), so the
+        # count width holds them; numpy would widen to int64.
+        hr = h.hr.reshape(rows, group).sum(axis=1, dtype=COUNT_DTYPE)
         scaled_cols = np.tile(h.hc.astype(np.float64) / group, group)
         hc = probabilistic_round(scaled_cols, rng=generator, maximum=rows)
     elif m > 0 and rows % m == 0:
         split = rows // m
-        hc = h.hc.reshape(split, cols).sum(axis=0)
+        hc = h.hc.reshape(split, cols).sum(axis=0, dtype=COUNT_DTYPE)
         scaled_rows = np.repeat(h.hr.astype(np.float64) / split, split)
         hr = probabilistic_round(scaled_rows, rng=generator, maximum=cols)
     else:
@@ -276,8 +278,8 @@ def propagate_row_sums(h: MNCSketch) -> MNCSketch:
     the output row indicator is ``hr > 0`` and the single output column
     holds ``nnz_rows`` non-zeros.
     """
-    indicator = (h.hr > 0).astype(np.int64)
-    hc = np.array([int(indicator.sum())], dtype=np.int64)
+    indicator = (h.hr > 0).astype(COUNT_DTYPE)
+    hc = np.array([int(indicator.sum())], dtype=COUNT_DTYPE)
     return MNCSketch.trusted(
         shape=(h.nrows, 1), hr=indicator, hc=hc, her=None, hec=None,
         fully_diagonal=False, exact=h.exact,
@@ -287,8 +289,8 @@ def propagate_row_sums(h: MNCSketch) -> MNCSketch:
 def propagate_col_sums(h: MNCSketch) -> MNCSketch:
     """Sketch of structural ``colSums(A)`` (exact; see
     :func:`propagate_row_sums`)."""
-    indicator = (h.hc > 0).astype(np.int64)
-    hr = np.array([int(indicator.sum())], dtype=np.int64)
+    indicator = (h.hc > 0).astype(COUNT_DTYPE)
+    hr = np.array([int(indicator.sum())], dtype=COUNT_DTYPE)
     return MNCSketch.trusted(
         shape=(1, h.ncols), hr=hr, hc=indicator, her=None, hec=None,
         fully_diagonal=False, exact=h.exact,
@@ -310,13 +312,14 @@ def propagate_ewise_mult(
     lam_r = _collision_factor(hr_a, hr_b, h_a.total_nnz, h_b.total_nnz)
     hr_est = hr_a * hr_b * lam_c
     hc_est = hc_a * hc_b * lam_r
-    hr = probabilistic_round(
+    hr, hc = empty_counts(*h_a.shape)
+    probabilistic_round(
         np.minimum(hr_est, np.minimum(h_a.hr, h_b.hr)), rng=generator,
-        maximum=h_a.ncols,
+        maximum=h_a.ncols, out=hr,
     )
-    hc = probabilistic_round(
+    probabilistic_round(
         np.minimum(hc_est, np.minimum(h_a.hc, h_b.hc)), rng=generator,
-        maximum=h_a.nrows,
+        maximum=h_a.nrows, out=hc,
     )
     _reconcile_totals(hr, hc, generator)
     return MNCSketch.trusted(
@@ -340,8 +343,9 @@ def propagate_ewise_add(
     # and at most the sum (capped by the row length via `maximum`).
     hr_est = np.clip(hr_est, np.maximum(h_a.hr, h_b.hr), h_a.hr + h_b.hr)
     hc_est = np.clip(hc_est, np.maximum(h_a.hc, h_b.hc), h_a.hc + h_b.hc)
-    hr = probabilistic_round(hr_est, rng=generator, maximum=h_a.ncols)
-    hc = probabilistic_round(hc_est, rng=generator, maximum=h_a.nrows)
+    hr, hc = empty_counts(*h_a.shape)
+    probabilistic_round(hr_est, rng=generator, maximum=h_a.ncols, out=hr)
+    probabilistic_round(hc_est, rng=generator, maximum=h_a.nrows, out=hc)
     _reconcile_totals(hr, hc, generator)
     return MNCSketch.trusted(
         shape=h_a.shape, hr=hr, hc=hc, her=None, hec=None,

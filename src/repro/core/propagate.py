@@ -28,7 +28,7 @@ from repro.backends import get_backend
 from repro.core.estimate import estimate_product_nnz
 from repro.core.rounding import SeedLike, resolve_rng
 from repro.core.scratch import ScratchBuffer
-from repro.core.sketch import MNCSketch
+from repro.core.sketch import COUNT_DTYPE, MNCSketch, empty_counts
 from repro.errors import ShapeError
 from repro.observability.trace import trace, tracing_enabled
 
@@ -50,12 +50,12 @@ def scale_histogram(
     empty through propagation.
 
     Args:
-        histogram: current int64 count vector.
+        histogram: current count vector.
         target_total: desired (estimated) sum after scaling.
         maximum: physical cap per entry (the opposing dimension size).
         rng: randomness for probabilistic rounding.
     """
-    result = np.empty(histogram.size, dtype=np.int64)
+    result = np.empty(histogram.size, dtype=COUNT_DTYPE)
     _scale_histogram_into(
         histogram, int(histogram.sum()), target_total, maximum, rng, result
     )
@@ -100,8 +100,7 @@ def _propagate_product_impl(
         h_a, h_b, use_extensions=use_extensions, use_bounds=use_bounds
     )
     if out is None:
-        hr_c = np.empty(m, dtype=np.int64)
-        hc_c = np.empty(l, dtype=np.int64)
+        hr_c, hc_c = empty_counts(m, l)
     else:
         counts, counts_f64 = out
         hr_c, hc_c = counts[:m], counts[m:]
@@ -150,9 +149,10 @@ def propagate_product(
         use_extensions, use_bounds: forwarded to
             :func:`~repro.core.estimate.estimate_product_nnz` for the "MNC
             Basic" ablation.
-        out: caller-owned storage for the result: an int64 and a float64
-            vector of length ``m + l`` each. The derived sketch's ``hr``
-            and ``hc`` are then views of the int64 vector and its cached
+        out: caller-owned storage for the result: a
+            :data:`~repro.core.sketch.COUNT_DTYPE` and a float64 vector of
+            length ``m + l`` each. The derived sketch's ``hr`` and ``hc``
+            are then views of the count vector and its cached
             ``hr_f64``/``hc_f64`` views of the float64 one, with the same
             bits as without *out*; the caller must not let the sketch
             outlive the storage. The fully-diagonal case returns an

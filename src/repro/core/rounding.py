@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.backends import get_backend
 from repro.core.scratch import ScratchBuffer
+from repro.core.sketch import COUNT_DTYPE, COUNT_MAX
 
 SeedLike = Union[int, np.random.Generator, None]
 
@@ -40,6 +41,8 @@ def probabilistic_round(
     values: np.ndarray,
     rng: SeedLike = None,
     maximum: Optional[int] = None,
+    *,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Round non-negative *values* to integers without systematic bias.
 
@@ -53,10 +56,14 @@ def probabilistic_round(
         rng: seed or generator driving the Bernoulli draws.
         maximum: optional per-entry cap (e.g. the row length), applied after
             rounding so a count can never exceed the physically possible one.
+            The result is a count vector, so :data:`COUNT_MAX` caps it too.
+        out: optional contiguous :data:`~repro.core.sketch.COUNT_DTYPE`
+            vector of ``values.size`` entries to round into.
 
     Returns:
-        int64 vector of the same shape (always freshly allocated; the
-        internal temporaries come from reused scratch buffers).
+        :data:`~repro.core.sketch.COUNT_DTYPE` array of the same shape:
+        *out*, or a freshly allocated one (the internal temporaries come
+        from reused scratch buffers).
     """
     generator = resolve_rng(rng)
     values = np.asarray(values, dtype=np.float64)
@@ -69,8 +76,7 @@ def probabilistic_round(
     # across backends (the kernels never touch the generator).
     draws = _DRAW_SCRATCH.get(n)
     generator.random(out=draws)
-    result = np.empty(n, dtype=np.int64)
-    get_backend().prob_round_into(
-        values, draws, -1 if maximum is None else int(maximum), result
-    )
+    result = np.empty(n, dtype=COUNT_DTYPE) if out is None else out
+    cap = COUNT_MAX if maximum is None else min(int(maximum), COUNT_MAX)
+    get_backend().prob_round_into(values, draws, cap, result)
     return result.reshape(shape)

@@ -18,8 +18,8 @@ Rules of use:
   took them (the chain DP's workspace hands them to its intermediate
   sketches, none of which outlives the DP).
 
-Buffers are thread-local: the chain DP evaluates one span's cells from a
-thread pool, and each thread gets private storage.
+Buffers are thread-local: every thread that estimates (a server's
+estimation thread, a caller's own DPs) gets private storage.
 """
 
 from __future__ import annotations

@@ -5,6 +5,11 @@ ships to the driver; that requires a wire/disk format. Sketches serialize
 to a single ``.npz`` file (or an in-memory ``dict`` of arrays) holding the
 count vectors, optional extensions, and the two flags. Round-tripping is
 exact and validated on load by the :class:`MNCSketch` constructor.
+
+npz arrays carry their dtype, so the format needs no version for the count
+width: files written with int64 counts load through the validating
+constructor, which range-checks them and narrows them to
+:data:`~repro.core.sketch.COUNT_DTYPE`.
 """
 
 from __future__ import annotations
@@ -65,15 +70,15 @@ def sketch_from_arrays(arrays) -> MNCSketch:
         )
     try:
         shape = tuple(int(d) for d in np.asarray(arrays["shape"]).ravel())
-        hr = np.asarray(arrays["hr"], dtype=np.int64)
-        hc = np.asarray(arrays["hc"], dtype=np.int64)
+        hr = np.asarray(arrays["hr"])
+        hc = np.asarray(arrays["hc"])
         flags = np.asarray(arrays["flags"]).ravel()
     except KeyError as missing:
         raise SketchError(f"serialized sketch missing field {missing}") from None
     if len(shape) != 2:
         raise SketchError(f"serialized shape must have two entries, got {shape}")
-    her = np.asarray(arrays["her"], dtype=np.int64) if "her" in arrays else None
-    hec = np.asarray(arrays["hec"], dtype=np.int64) if "hec" in arrays else None
+    her = np.asarray(arrays["her"]) if "her" in arrays else None
+    hec = np.asarray(arrays["hec"]) if "hec" in arrays else None
     return MNCSketch(
         shape=shape, hr=hr, hc=hc, her=her, hec=hec,
         fully_diagonal=bool(flags[0]), exact=bool(flags[1]),

@@ -13,7 +13,11 @@ An MNC sketch of an ``m x n`` matrix ``A`` holds:
   access and cached on the instance.
 
 The sketch is ``O(m + n)`` in size and is constructed in
-``O(nnz(A) + m + n)`` time. Instances are immutable value objects: all
+``O(nnz(A) + m + n)`` time. Every count vector has one width,
+:data:`COUNT_DTYPE` (int32, the paper's 4-byte counts of Figure 9); totals
+such as :attr:`MNCSketch.total_nnz` are Python ints, and Algorithm 1 and
+the Eq 17 scan read float64 views of the counts, so the width never
+changes an answer. Instances are immutable value objects: all
 propagation rules build new sketches, which makes memoization across DAG
 paths and DP subchains safe.
 
@@ -51,6 +55,13 @@ from repro.observability.trace import trace, tracing_enabled
 
 _FIELD_NAMES = ("shape", "hr", "hc", "her", "hec", "fully_diagonal", "exact")
 
+#: The one width of every count vector (``hr``, ``hc``, ``her``, ``hec``).
+#: A count never exceeds the opposing dimension, and the validating
+#: constructor rejects a dimension above :data:`COUNT_MAX`, so int32 holds
+#: every count; totals are summed in int64 (numpy widens an int32 sum).
+COUNT_DTYPE = np.dtype(np.int32)
+COUNT_MAX = int(np.iinfo(COUNT_DTYPE).max)
+
 #: ``__dict__`` slots of the cached float64 views, and the mark of a sketch
 #: that never caches them (:meth:`MNCSketch.counts_only`).
 _F64_VIEWS = ("_hr_f64", "_hc_f64", "_her_f64", "_hec_f64")
@@ -69,7 +80,29 @@ _SUMMARIES = METRICS.cell("hotpath.summaries_materialized")
 _ZERO_HITS = METRICS.cell("hotpath.zero_vector_hits")
 
 
-def _cached_zeros(length: int, dtype=np.int64) -> np.ndarray:
+def empty_counts(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialized ``hr``/``hc`` of an ``m x n`` sketch, as two views of
+    one allocation.
+
+    A propagated synopsis then owns one block of ``4 (m + n)`` bytes,
+    which for square shapes is the size of one float64 view of its
+    counts, so blocks the memo evicts are reused by the views and counts
+    that later requests allocate instead of fragmenting the heap.
+    """
+    block = np.empty(m + n, dtype=COUNT_DTYPE)
+    return block[:m], block[m:]
+
+
+def _range_checked(values) -> np.ndarray:
+    """*values* as an integer vector wide enough to range-check: count
+    vectors pass through, anything else converts to int64 first."""
+    arr = np.asarray(values)
+    if arr.dtype != COUNT_DTYPE:
+        arr = arr.astype(np.int64, copy=False)
+    return arr
+
+
+def _cached_zeros(length: int, dtype=COUNT_DTYPE) -> np.ndarray:
     key = (length, np.dtype(dtype).char)
     arr = _ZEROS_CACHE.get(key)
     if arr is None:
@@ -89,8 +122,8 @@ class MNCSketch:
 
     Attributes:
         shape: the matrix shape ``(m, n)``.
-        hr: int64 vector of non-zeros per row.
-        hc: int64 vector of non-zeros per column.
+        hr: int32 (:data:`COUNT_DTYPE`) vector of non-zeros per row.
+        hc: int32 (:data:`COUNT_DTYPE`) vector of non-zeros per column.
         her: extended row counts (non-zeros lying in single-non-zero
             columns), or ``None`` when not constructed / not propagated.
         hec: extended column counts (non-zeros lying in single-non-zero
@@ -114,10 +147,15 @@ class MNCSketch:
     def __post_init__(self) -> None:
         _VALIDATED.value += 1
         m, n = self.shape
-        hr = np.ascontiguousarray(self.hr, dtype=np.int64)
-        hc = np.ascontiguousarray(self.hc, dtype=np.int64)
-        object.__setattr__(self, "hr", hr)
-        object.__setattr__(self, "hc", hc)
+        if m > COUNT_MAX or n > COUNT_MAX:
+            raise SketchError(
+                f"shape {self.shape} exceeds the largest dimension a "
+                f"{COUNT_DTYPE} count can hold ({COUNT_MAX})"
+            )
+        # Every check runs before the counts narrow to COUNT_DTYPE, so an
+        # out-of-range input is rejected instead of wrapped.
+        hr = _range_checked(self.hr)
+        hc = _range_checked(self.hc)
         if hr.shape != (m,):
             raise SketchError(f"hr has shape {hr.shape}, expected ({m},)")
         if hc.shape != (n,):
@@ -132,19 +170,24 @@ class MNCSketch:
             raise SketchError(
                 f"inconsistent sketch: sum(hr)={row_total} != sum(hc)={col_total}"
             )
-        for name, ext, length in (("her", self.her, m), ("hec", self.hec, n)):
+        for name, ext, counts in (("her", self.her, hr), ("hec", self.hec, hc)):
             if ext is None:
                 continue
-            ext = np.ascontiguousarray(ext, dtype=np.int64)
-            object.__setattr__(self, name, ext)
-            if ext.shape != (length,):
-                raise SketchError(f"{name} has shape {ext.shape}, expected ({length},)")
+            ext = _range_checked(ext)
+            if ext.shape != counts.shape:
+                raise SketchError(
+                    f"{name} has shape {ext.shape}, expected {counts.shape}"
+                )
             if ext.size and ext.min() < 0:
                 raise SketchError(f"{name} must be non-negative")
-        if self.her is not None and np.any(self.her > hr):
-            raise SketchError("her cannot exceed hr entry-wise")
-        if self.hec is not None and np.any(self.hec > hc):
-            raise SketchError("hec cannot exceed hc entry-wise")
+            if np.any(ext > counts):
+                counts_name = "hr" if name == "her" else "hc"
+                raise SketchError(f"{name} cannot exceed {counts_name} entry-wise")
+            object.__setattr__(
+                self, name, np.ascontiguousarray(ext, dtype=COUNT_DTYPE)
+            )
+        object.__setattr__(self, "hr", np.ascontiguousarray(hr, dtype=COUNT_DTYPE))
+        object.__setattr__(self, "hc", np.ascontiguousarray(hc, dtype=COUNT_DTYPE))
         # Validation already paid for the row total; keep it.
         self.__dict__["_total_nnz"] = row_total
 
@@ -166,16 +209,26 @@ class MNCSketch:
         """Build a sketch *without* invariant validation (fast tier).
 
         Callers guarantee what the validating constructor would check:
-        ``hr``/``hc`` are contiguous int64 vectors of the right lengths
-        with entries in range, ``sum(hr) == sum(hc)``, and extensions (if
-        any) are int64, non-negative, and dominated by the counts. Every
-        internal propagation rule satisfies this by construction.
+        ``hr``/``hc`` are contiguous :data:`COUNT_DTYPE` vectors of the
+        right lengths with entries in range, ``sum(hr) == sum(hc)``, and
+        extensions (if any) are :data:`COUNT_DTYPE`, non-negative, and
+        dominated by the counts. Every internal propagation rule satisfies
+        this by construction.
 
         Under :func:`repro.core.hotpath.validated_scope` (active during
         ``repro.verify`` contract runs) the call transparently degrades to
-        the validating constructor, so fuzzing exercises the checks.
+        the validating constructor, so fuzzing exercises the checks, and
+        counts of any other dtype are rejected rather than converted: the
+        validating constructor would narrow them silently, and a rule that
+        emits them is a bug.
         """
         if validation_forced():
+            for name, counts in (("hr", hr), ("hc", hc), ("her", her), ("hec", hec)):
+                dtype = getattr(counts, "dtype", None)
+                if counts is not None and dtype != COUNT_DTYPE:
+                    raise SketchError(
+                        f"trusted {name} has dtype {dtype}, expected {COUNT_DTYPE}"
+                    )
             return cls(
                 shape=shape, hr=hr, hc=hc, her=her, hec=hec,
                 fully_diagonal=fully_diagonal, exact=exact,
@@ -225,8 +278,8 @@ class MNCSketch:
         csr = as_csr(matrix)
         m, n = csr.shape
         indices = csr.indices
-        hr = np.diff(csr.indptr).astype(np.int64)
-        hc = np.bincount(indices, minlength=n).astype(np.int64, copy=False)
+        hr = np.diff(csr.indptr).astype(COUNT_DTYPE, copy=False)
+        hc = np.bincount(indices, minlength=n).astype(COUNT_DTYPE)
         her: Optional[np.ndarray] = None
         hec: Optional[np.ndarray] = None
         max_hr = int(hr.max()) if hr.size else 0
@@ -244,13 +297,13 @@ class MNCSketch:
                 row_ids = np.repeat(np.arange(m), hr)
                 her = np.bincount(
                     row_ids[single_cols[indices]], minlength=m
-                ).astype(np.int64, copy=False)
+                ).astype(COUNT_DTYPE)
             single_rows = hr == 1
             if single_rows.any():
                 # hec[j]: non-zeros of column j lying in single-non-zero rows.
                 hec = np.bincount(
                     indices[np.repeat(single_rows, hr)], minlength=n
-                ).astype(np.int64, copy=False)
+                ).astype(COUNT_DTYPE)
         diagonal = bool(
             m == n and csr.nnz == m and _structure_is_diagonal(csr)
         )
@@ -493,9 +546,9 @@ class MNCSketch:
 
         The result shares the count vectors and summary statistics, drops
         any cached float64 view and never caches one: each use re-derives
-        it (one ``astype``, ~10 µs at 20000 entries). Its arrays therefore
-        stay exactly what :meth:`size_bytes` counts, which is what the
-        estimate memo charges for it.
+        it (one ``astype``, ~5 µs at 20000 entries). Its arrays therefore
+        stay exactly what :meth:`size_bytes` counts, which is what
+        :meth:`footprint_bytes` charges for it.
         """
         if _COUNTS_ONLY in self.__dict__:
             return self
@@ -579,16 +632,30 @@ class MNCSketch:
     def size_bytes(self) -> int:
         """Synopsis size in bytes (count vectors + fixed metadata).
 
-        The paper's Figure 9 sizes MNC at ``2 * 4 * dim * 4B``; we report the
-        actual array footprint of this implementation (int64 vectors), plus a
-        small constant for the summary statistics.
+        The count vectors are :data:`COUNT_DTYPE`, the 4-byte counts the
+        paper sizes MNC with in Figure 9, plus a small constant for the
+        summary statistics.
         """
-        size = self.hr.nbytes + self.hc.nbytes
-        if self.her is not None:
-            size += self.her.nbytes
-        if self.hec is not None:
-            size += self.hec.nbytes
-        return size + 9 * 8  # summary statistics and flags
+        return sum(v.nbytes for v in self._vectors()) + 9 * 8
+
+    def footprint_bytes(self) -> int:
+        """Bytes this sketch can come to hold: :meth:`size_bytes` plus the
+        float64 view of each count vector, which Algorithm 1 caches on
+        first use; a :meth:`counts_only` twin caches none.
+
+        Long-lived caches charge this (``repro.catalog.memo.entry_charge``),
+        so what they hold never outgrows what they were charged.
+        """
+        size = self.size_bytes()
+        if _COUNTS_ONLY in self.__dict__:
+            return size
+        return size + 8 * sum(v.size for v in self._vectors())
+
+    def _vectors(self) -> tuple[np.ndarray, ...]:
+        """``hr``, ``hc`` and the extensions that are present."""
+        return tuple(
+            v for v in (self.hr, self.hc, self.her, self.hec) if v is not None
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

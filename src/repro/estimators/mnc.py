@@ -38,6 +38,9 @@ class MNCSynopsis(Synopsis):
     def size_bytes(self) -> int:
         return self.sketch.size_bytes()
 
+    def footprint_bytes(self) -> int:
+        return self.sketch.footprint_bytes()
+
 
 @register_estimator("mnc")
 class MNCEstimator(SparsityEstimator):

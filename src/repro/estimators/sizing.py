@@ -3,9 +3,9 @@
 Figure 9 plots synopsis sizes for matrices far too large to materialize
 (e.g. 1M x 1M at sparsity 1.0); these closed-form models mirror the actual
 implementations' footprints so the figure can be regenerated analytically.
-The constants match this reproduction: int64 count vectors for MNC, float64
-density maps, packed bits for the bitset, float64 r-vectors plus index
-arrays for the layered graph.
+The constants match this reproduction: int32 count vectors for MNC (the
+paper's 4-byte counts), float64 density maps, packed bits for the bitset,
+float64 r-vectors plus index arrays for the layered graph.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ def density_map_size_bytes(m: int, n: int, nnz: int, block_size: int = 256) -> f
 
 
 def mnc_size_bytes(m: int, n: int, nnz: int, with_extensions: bool = True) -> float:
-    """Row + column count vectors (int64), doubled when extensions exist."""
+    """Row + column count vectors (int32), doubled when extensions exist."""
     vectors = 4 if with_extensions else 2
-    return vectors * (m + n) / 2 * 8 + 9 * 8
+    return vectors * (m + n) / 2 * 4 + 9 * 8
 
 
 def layered_graph_size_bytes(m: int, n: int, nnz: int, rounds: int = 32) -> float:

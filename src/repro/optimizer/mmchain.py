@@ -12,30 +12,33 @@ The intermediate sketches' count vectors, and the float64 views Algorithm 1
 and the Eq 17 scan read, live in one per-thread workspace that grows
 geometrically and is reused across calls (docs/PERFORMANCE.md, "Allocation
 discipline"): a DP over a 20-matrix chain would otherwise allocate, touch
-and hand back to the OS ~24 MB of fresh pages every time it runs.
+and hand back to the OS ~18 MB of fresh pages every time it runs.
+
+The DP has one schedule: cells in (span, start) order, each drawing its
+rounding randomness from the caller's generator in turn, whatever worker
+count is asked for (docs/PARALLEL.md).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.propagate import propagate_product
 from repro.core.rounding import SeedLike, resolve_rng
 from repro.core.scratch import ScratchBuffer
-from repro.core.sketch import MNCSketch
+from repro.core.sketch import COUNT_DTYPE, MNCSketch
 from repro.errors import PlanError
 from repro.optimizer.cost import Plan, dense_matmul_flops, sparse_matmul_flops
-from repro.parallel.engine import map_values, resolve_workers
+from repro.parallel.engine import map_values
 
 
 #: The sparse DP's workspace: every intermediate cell's ``hr``/``hc``
-#: (int64) and their float64 views, one slot of ``m + l`` entries per cell.
-_CELL_COUNTS = ScratchBuffer(np.int64)
+#: (at the sketches' count width) and their float64 views, one slot of
+#: ``m + l`` entries per cell.
+_CELL_COUNTS = ScratchBuffer(COUNT_DTYPE)
 _CELL_COUNTS_F64 = ScratchBuffer(np.float64)
 
 
@@ -88,30 +91,6 @@ def optimize_chain_dense(shapes: Sequence[tuple[int, int]]) -> ChainSolution:
     return ChainSolution(plan=_extract_plan(splits, 0, n - 1), cost=float(costs[0, n - 1]))
 
 
-def _solve_cell(
-    costs: np.ndarray,
-    memo: List[List[Optional[MNCSketch]]],
-    i: int,
-    j: int,
-    rng,
-    out: Tuple[np.ndarray, np.ndarray],
-) -> Tuple[float, int, MNCSketch]:
-    """One DP cell: pick the cheapest split of subchain ``[i, j]`` and
-    propagate its joined sketch into the cell's workspace slot *out*.
-    Reads only strictly shorter spans, so all cells of one span are
-    independent."""
-    best_cost, best_k = np.inf, i
-    for k in range(i, j):
-        join = sparse_matmul_flops(memo[i][k], memo[k + 1][j])
-        cost = costs[i, k] + costs[k + 1, j] + join
-        if cost < best_cost:
-            best_cost, best_k = cost, k
-    sketch = propagate_product(
-        memo[i][best_k], memo[best_k + 1][j], rng=rng, out=out
-    )
-    return best_cost, best_k, sketch
-
-
 def optimize_chain_sparse(
     sketches: Sequence[MNCSketch],
     rng: SeedLike = None,
@@ -122,21 +101,18 @@ def optimize_chain_sparse(
     Args:
         sketches: MNC sketches of the chain matrices (build once with
             :meth:`MNCSketch.from_matrix`).
-        rng: randomness for probabilistic rounding during sketch propagation.
-        workers: thread count for evaluating one span's (independent) DP
-            cells concurrently, from one thread pool per call; ``None``
-            reads ``$REPRO_WORKERS`` (default 1). Serial runs consume *rng*
-            cell by cell exactly as before; parallel runs pre-draw one
-            child seed per cell in deterministic (span, i) order, so any
-            ``workers > 1`` yields identical plans and costs regardless of
-            thread count (which may round — hence cost — differently than
-            the serial stream).
+        rng: randomness for probabilistic rounding during sketch
+            propagation, consumed cell by cell in (span, start) order.
+        workers: accepted like every other entry point's, and ignored:
+            each worker count runs the one serial schedule, so plans and
+            costs never depend on it. (Evaluating a span's cells from a
+            thread pool measured slower on two CPUs, and needed per-cell
+            seeds that rounded differently; docs/PARALLEL.md.)
 
     Intermediate sketches live in the calling thread's workspace (see the
     module docstring); none of them outlives the call.
     """
     _validate_chain_shapes([h.shape for h in sketches])
-    workers = resolve_workers(workers)
     generator = resolve_rng(rng)
     n = len(sketches)
     costs = np.zeros((n, n), dtype=np.float64)
@@ -144,53 +120,30 @@ def optimize_chain_sparse(
     memo: list[list[Optional[MNCSketch]]] = [[None] * n for _ in range(n)]
     for i, sketch in enumerate(sketches):
         memo[i][i] = sketch
-    # Every cell's slot is cut here, on the calling thread, in the order
-    # the serial DP fills them; pool threads write disjoint slices.
-    cells = [
-        (i, i + span - 1) for span in range(2, n + 1)
-        for i in range(n - span + 1)
-    ]
-    size = sum(sketches[i].nrows + sketches[j].ncols for i, j in cells)
+    size = sum(
+        sketches[i].nrows + sketches[i + span - 1].ncols
+        for span in range(2, n + 1) for i in range(n - span + 1)
+    )
     counts = _CELL_COUNTS.get(size)
     counts_f64 = _CELL_COUNTS_F64.get(size)
-    slots = {}
     start = 0
-    for i, j in cells:
-        stop = start + sketches[i].nrows + sketches[j].ncols
-        slots[i, j] = (counts[start:stop], counts_f64[start:stop])
-        start = stop
-    # Sketch propagation (not the flops scan) dominates a cell, and it is
-    # numpy-bound, so threads are the right pool here — the memo tables
-    # stay shared without any serialization.
-    parallel = workers > 1 and n > 2
-    with (
-        ThreadPoolExecutor(max_workers=min(workers, n - 1))
-        if parallel else nullcontext()
-    ) as pool:
-        for span in range(2, n + 1):
-            starts = list(range(n - span + 1))
-            if parallel and len(starts) > 1:
-                seeds = [int(generator.integers(0, 2**63)) for _ in starts]
-                solved = list(pool.map(
-                    lambda i, seed: _solve_cell(
-                        costs, memo, i, i + span - 1, resolve_rng(seed),
-                        slots[i, i + span - 1],
-                    ),
-                    starts, seeds,
-                ))
-            else:
-                solved = [
-                    _solve_cell(
-                        costs, memo, i, i + span - 1, generator,
-                        slots[i, i + span - 1],
-                    )
-                    for i in starts
-                ]
-            for i, (best_cost, best_k, sketch) in zip(starts, solved):
-                j = i + span - 1
-                costs[i, j] = best_cost
-                splits[i, j] = best_k
-                memo[i][j] = sketch
+    for span in range(2, n + 1):
+        for i in range(n - span + 1):
+            j = i + span - 1
+            best_cost, best_k = np.inf, i
+            for k in range(i, j):
+                join = sparse_matmul_flops(memo[i][k], memo[k + 1][j])
+                cost = costs[i, k] + costs[k + 1, j] + join
+                if cost < best_cost:
+                    best_cost, best_k = cost, k
+            stop = start + sketches[i].nrows + sketches[j].ncols
+            memo[i][j] = propagate_product(
+                memo[i][best_k], memo[best_k + 1][j], rng=generator,
+                out=(counts[start:stop], counts_f64[start:stop]),
+            )
+            start = stop
+            costs[i, j] = best_cost
+            splits[i, j] = best_k
     return ChainSolution(plan=_extract_plan(splits, 0, n - 1), cost=float(costs[0, n - 1]))
 
 
@@ -215,10 +168,10 @@ def optimize_chain_matrices(
             come from the catalog — matrices already registered there (or
             optimized before) are never re-sketched.
         workers: process count for sketching leaves in parallel (catalog-less
-            runs only — a catalog's store already deduplicates that work),
-            and thread count for the DP's per-span cells. ``None`` reads
-            ``$REPRO_WORKERS`` (default 1). Sketch construction is
-            deterministic, so leaf parallelism never changes results.
+            runs only — a catalog's store already deduplicates that work).
+            ``None`` reads ``$REPRO_WORKERS`` (default 1). Sketch
+            construction is deterministic and the DP runs one serial
+            schedule, so the worker count never changes results.
     """
     if catalog is not None:
         sketches = [catalog.sketch_for(matrix) for matrix in matrices]

@@ -72,3 +72,22 @@ def assert_structure_equal(actual, expected) -> None:
     lhs_set = set(zip(lhs_coo.row.tolist(), lhs_coo.col.tolist()))
     rhs_set = set(zip(rhs_coo.row.tolist(), rhs_coo.col.tolist()))
     assert lhs_set == rhs_set
+
+
+def array_footprint(values) -> int:
+    """Bytes of every distinct array reachable from *values* (sketches, or
+    MNC synopses standing for theirs), float64 views included; a view
+    counts its whole base buffer, so a shared block counts once."""
+    from repro.estimators.mnc import MNCSynopsis
+
+    buffers = {}
+    for value in values:
+        if isinstance(value, MNCSynopsis):
+            value = value.sketch
+        for item in getattr(value, "__dict__", {}).values():
+            if not isinstance(item, np.ndarray):
+                continue
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            buffers[id(item)] = item.nbytes
+    return sum(buffers.values())

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from conftest import array_footprint
 from repro.catalog.memo import EstimateMemo
 
 
@@ -567,23 +568,9 @@ class TestByteBudget:
 def _array_footprint(memo):
     """Bytes of every distinct array reachable from the memo's values,
     float64 views included; a view counts its whole base buffer."""
-    import numpy as np
-
-    from repro.estimators.mnc import MNCSynopsis
-
     with memo._lock:
         values = list(memo._entries.values())
-    buffers = {}
-    for value in values:
-        if isinstance(value, MNCSynopsis):
-            value = value.sketch
-        for item in getattr(value, "__dict__", {}).values():
-            if not isinstance(item, np.ndarray):
-                continue
-            while isinstance(item.base, np.ndarray):
-                item = item.base
-            buffers[id(item)] = item.nbytes
-    return sum(buffers.values())
+    return array_footprint(values)
 
 
 class TestFootprintThroughService:

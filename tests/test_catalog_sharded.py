@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.catalog.memo import entry_charge
 from repro.catalog.store import SketchStore, shard_index
 from repro.core.serialize import save_sketch
 from repro.core.sketch import MNCSketch
@@ -97,11 +98,11 @@ class TestShardedBasics:
         one = _sketch(1)
         # Two shards; each shard's budget holds ~1.5 sketches.
         store = SketchStore(
-            num_shards=2, budget_bytes=3 * one.size_bytes()
+            num_shards=2, budget_bytes=3 * entry_charge(one)
         )
         for index in range(12):
             store.put(f"{index:x}0", _sketch(index % 3))
-        assert store.bytes_used <= 3 * one.size_bytes()
+        assert store.bytes_used <= 3 * entry_charge(one)
         assert store.stats().evictions > 0
 
 
@@ -314,7 +315,7 @@ class TestConcurrency:
     def test_hammering_threads_across_shards(self):
         """Many threads over many keys: no lost updates, total budget held."""
         sketches = {f"{seed:02x}conc": _sketch(seed) for seed in range(16)}
-        any_size = next(iter(sketches.values())).size_bytes()
+        any_size = entry_charge(next(iter(sketches.values())))
         budget = 8 * any_size
         store = SketchStore(num_shards=4, budget_bytes=budget)
         errors = []

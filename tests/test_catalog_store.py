@@ -6,7 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import full_disk_after_header
+from conftest import array_footprint, full_disk_after_header
+from repro.catalog.memo import entry_charge
 from repro.catalog.store import SketchStore, shard_index
 from repro.core import serialize
 from repro.core.serialize import save_sketch
@@ -61,7 +62,7 @@ class TestBudgetAndEviction:
         # Sketch sizes vary by seed (all-zero extension vectors are
         # dropped), so compute a budget that holds "a" plus either other
         # entry, but never all three.
-        sizes = {seed: _sketch(seed).size_bytes() for seed in (1, 2, 3)}
+        sizes = {seed: entry_charge(_sketch(seed)) for seed in (1, 2, 3)}
         budget = sizes[1] + max(sizes[2], sizes[3]) + 8
         store = SketchStore(budget_bytes=budget)
         store.put("a", _sketch(1))
@@ -75,7 +76,7 @@ class TestBudgetAndEviction:
 
     def test_budget_never_exceeded(self):
         one = _sketch(1)
-        budget = int(one.size_bytes() * 2.5)
+        budget = int(entry_charge(one) * 2.5)
         store = SketchStore(budget_bytes=budget)
         for seed in range(20):
             store.put(f"k{seed}", _sketch(seed))
@@ -84,10 +85,10 @@ class TestBudgetAndEviction:
     def test_oversized_sketch_never_resident(self, tmp_path):
         small = _sketch(1, m=10, n=8)
         store = SketchStore(
-            budget_bytes=small.size_bytes() + 1, spill_dir=tmp_path
+            budget_bytes=entry_charge(small) + 1, spill_dir=tmp_path
         )
         big = _sketch(2, m=500, n=400, sparsity=0.05)
-        assert big.size_bytes() > store.budget_bytes
+        assert entry_charge(big) > store.budget_bytes
         store.put("big", big)
         assert len(store) == 0
         # ... but it spilled, so it is still readable (as a disk hit).
@@ -99,7 +100,7 @@ class TestBudgetAndEviction:
 class TestSpill:
     def test_evicted_entries_spill_and_reload(self, tmp_path):
         # Budget holds either sketch alone (sizes differ by seed), not both.
-        budget = max(_sketch(1).size_bytes(), _sketch(2).size_bytes()) + 8
+        budget = max(entry_charge(_sketch(1)), entry_charge(_sketch(2))) + 8
         store = SketchStore(budget_bytes=budget, spill_dir=tmp_path)
         store.put("a", _sketch(1))
         store.put("b", _sketch(2))  # evicts "a" to disk
@@ -111,7 +112,7 @@ class TestSpill:
         assert stats.spills >= 1 and stats.disk_hits == 1
 
     def test_no_spill_dir_drops_evictions(self):
-        budget = max(_sketch(1).size_bytes(), _sketch(2).size_bytes()) + 8
+        budget = max(entry_charge(_sketch(1)), entry_charge(_sketch(2))) + 8
         store = SketchStore(budget_bytes=budget)
         store.put("a", _sketch(1))
         store.put("b", _sketch(2))
@@ -121,7 +122,7 @@ class TestSpill:
         """A spill that dies mid-write leaves no torn file under the key,
         so the key reads as a miss and a later spill writes it whole."""
         small = _sketch(1, m=10, n=8)
-        store = SketchStore(budget_bytes=small.size_bytes() + 1, spill_dir=tmp_path)
+        store = SketchStore(budget_bytes=entry_charge(small) + 1, spill_dir=tmp_path)
         big = _sketch(2, m=500, n=400, sparsity=0.05)
         with monkeypatch.context() as patch:
             patch.setattr(serialize, "sketch_to_arrays", full_disk_after_header)
@@ -138,7 +139,7 @@ class TestSpill:
         is removed so the next spill of the key writes it whole."""
         (tmp_path / "abcd.npz").write_bytes(b"PK\x03\x04 torn")
         small = _sketch(1, m=10, n=8)
-        store = SketchStore(budget_bytes=small.size_bytes() + 1, spill_dir=tmp_path)
+        store = SketchStore(budget_bytes=entry_charge(small) + 1, spill_dir=tmp_path)
         assert "abcd" in store  # a file is there, readable or not
         assert store.get("abcd") is None
         stats = store.stats()
@@ -253,7 +254,7 @@ class TestGauges:
         sketch = _sketch(1)
         # Each shard's slice holds exactly two copies of ``sketch``.
         store = SketchStore(
-            num_shards=8, budget_bytes=8 * (2 * sketch.size_bytes() + 1)
+            num_shards=8, budget_bytes=8 * (2 * entry_charge(sketch) + 1)
         )
         by_shard = {}
         for i in range(256):
@@ -278,7 +279,7 @@ class TestConcurrency:
         """Acceptance criterion: >= 4 threads on one store, no lost updates,
         byte budget never exceeded."""
         sketches = {f"k{seed}": _sketch(seed) for seed in range(12)}
-        budget = 6 * next(iter(sketches.values())).size_bytes()
+        budget = 6 * entry_charge(next(iter(sketches.values())))
         store = SketchStore(budget_bytes=budget)
         errors = []
         budget_violations = []
@@ -338,3 +339,61 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert all(results) and len(results) == 800
+
+
+def _store_footprint(store):
+    """Bytes of every distinct array reachable from the store's resident
+    sketches, float64 views included."""
+    sketches = []
+    for shard in store._shards:
+        with shard.lock:
+            sketches.extend(shard.entries.values())
+    return array_footprint(sketches)
+
+
+class TestFootprintThroughService:
+    def test_cold_dags_keep_leaf_footprint_within_budget(self):
+        """Leaves in the store cache float64 views as Algorithm 1 reads
+        them, and the store's charge covers those views: the arrays it
+        holds never exceed its ``bytes_used``, nor that its budget, while
+        a cold stream of DAGs evicts and re-sketches leaves."""
+        from repro.catalog.service import EstimationService
+        from repro.ir.nodes import ewise_mult, leaf, matmul, transpose
+        from repro.matrix.random import (
+            banded_matrix,
+            permutation_matrix,
+            power_law_columns,
+        )
+
+        side = 2000
+        matrices = [
+            random_sparse(side, side, 2e-3, seed=1),
+            random_sparse(side, side, 5e-4, seed=2),
+            power_law_columns(side, side, 4000, seed=3),
+            permutation_matrix(side, seed=4),
+            banded_matrix(side, 2),
+        ]
+        sketched = [MNCSketch.from_matrix(matrix) for matrix in matrices]
+        for sketch in sketched:  # what a leaf holds after Algorithm 1 ran
+            sketch.hr_f64, sketch.hc_f64
+            sketch.her_f64_or_zeros(), sketch.hec_f64_or_zeros()
+        charges = sorted(entry_charge(sketch) for sketch in sketched)
+        budget = sum(charges[-3:])  # three leaves at most, so leaves churn
+        service = EstimationService("mnc", store=SketchStore(budget_bytes=budget))
+        rng = np.random.default_rng(11)
+        binary = (matmul, ewise_mult)
+
+        def node(depth):
+            if depth == 0:
+                return leaf(matrices[rng.integers(len(matrices))])
+            op = rng.integers(3)
+            if op == 2:
+                return transpose(node(depth - 1))
+            return binary[op](node(depth - 1), node(depth - 1))
+
+        for _ in range(120):
+            service.estimate(node(int(rng.integers(1, 4))))
+            stats = service.store.stats()
+            assert _store_footprint(service.store) <= stats.bytes_used <= budget
+        stats = service.store.stats()
+        assert stats.evictions > 0 and stats.hits > 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.propagate import propagate_product, scale_histogram
-from repro.core.sketch import MNCSketch
+from repro.core.sketch import COUNT_DTYPE, MNCSketch
 from repro.matrix.ops import matmul
 from repro.matrix.random import (
     diagonal_matrix,
@@ -154,7 +154,7 @@ class TestPropagateIntoCallerStorage:
         h_b = MNCSketch.from_matrix(random_sparse(36, 44, 0.18, seed=seed + 9))
         rng_fresh, rng_out = np.random.default_rng(seed), np.random.default_rng(seed)
         fresh = propagate_product(h_a, h_b, rng=rng_fresh)
-        counts = np.full(48 + 44, -1, dtype=np.int64)
+        counts = np.full(48 + 44, -1, dtype=COUNT_DTYPE)
         counts_f64 = np.full(48 + 44, np.nan)
         into = propagate_product(h_a, h_b, rng=rng_out, out=(counts, counts_f64))
         assert into.hr.tobytes() == fresh.hr.tobytes()
@@ -169,7 +169,7 @@ class TestPropagateIntoCallerStorage:
     def test_diagonal_operand_leaves_out_untouched(self):
         d = MNCSketch.from_matrix(diagonal_matrix(30, seed=1))
         h = MNCSketch.from_matrix(random_sparse(30, 20, 0.2, seed=2))
-        counts = np.full(50, -1, dtype=np.int64)
+        counts = np.full(50, -1, dtype=COUNT_DTYPE)
         counts_f64 = np.full(50, -1.0)
         assert propagate_product(d, h, rng=0, out=(counts, counts_f64)) is h
         assert (counts == -1).all() and (counts_f64 == -1.0).all()

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.hotpath import validated_scope, validation_forced
 from repro.core.serialize import sketch_to_arrays
-from repro.core.sketch import MNCSketch, _cached_zeros
+from repro.core.sketch import COUNT_DTYPE, MNCSketch, _cached_zeros
 from repro.estimators.mnc import MNCEstimator
 from repro.ir.estimate import estimate_root_nnz
 from repro.matrix.random import random_sparse
@@ -119,7 +119,7 @@ class TestSketchEquivalence:
         b = _cached_zeros(17)
         assert a is b
         assert not a.flags.writeable
-        assert (a == 0).all() and a.dtype == np.int64
+        assert (a == 0).all() and a.dtype == COUNT_DTYPE
         f = _cached_zeros(17, np.float64)
         assert f.dtype == np.float64 and f is not a
 
@@ -307,7 +307,5 @@ class TestBackendEquivalence:
                 outcomes[(candidate, workers)] = (
                     plan_to_string(solution.plan), solution.cost
                 )
-        # Serial and parallel consume the rng differently (documented), so
-        # compare across backends within each worker count.
-        assert outcomes[("numpy", 1)] == outcomes[(backend, 1)]
-        assert outcomes[("numpy", 4)] == outcomes[(backend, 4)]
+        # One schedule for every worker count: all four runs agree.
+        assert len(set(outcomes.values())) == 1, outcomes

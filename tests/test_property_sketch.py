@@ -12,7 +12,7 @@ from repro.core.estimate import (
     product_nnz_upper_bound,
 )
 from repro.core.incremental import IncrementalSketch
-from repro.core.sketch import MNCSketch
+from repro.core.sketch import COUNT_DTYPE, MNCSketch
 from repro.matrix.conversion import as_csr
 from repro.matrix.ops import matmul
 
@@ -185,7 +185,7 @@ def _assert_matches_reference(sketch, structure, with_extensions):
         if want is None:
             assert got is None
         else:
-            assert got.dtype == np.int64
+            assert got.dtype == COUNT_DTYPE
             np.testing.assert_array_equal(got, want)
     assert sketch.fully_diagonal == diagonal
     assert sketch.exact

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core.rounding import probabilistic_round, resolve_rng
+from repro.core.sketch import COUNT_DTYPE
 
 
 class TestResolveRng:
@@ -46,7 +47,7 @@ class TestProbabilisticRound:
         assert rounded.max() <= 5
 
     def test_output_dtype(self, rng):
-        assert probabilistic_round(np.array([1.5]), rng=rng).dtype == np.int64
+        assert probabilistic_round(np.array([1.5]), rng=rng).dtype == COUNT_DTYPE
 
     def test_values_within_one_of_input(self, rng):
         values = np.array([0.1, 2.7, 3.999])

@@ -50,10 +50,11 @@ class TestSizeModels:
             synopsis_size_bytes("unknown", 1, 1, 0)
 
     def test_paper_figure9_anchor_points(self):
-        # 1M x 1M: MNC ~32 MB-scale, bitset ~125 GB, DMap ~122 MB (paper).
+        # 1M x 1M: bitset ~125 GB, DMap ~122 MB (paper). MNC holds four
+        # 1M-entry int32 count vectors, 16 MB, against the paper's 32 MB.
         gigabyte = 1024.0**3
         assert bitset_size_bytes(10**6, 10**6, 0) / gigabyte == pytest.approx(116.4, rel=0.01)
-        assert mnc_size_bytes(10**6, 10**6, 0) / 1e6 == pytest.approx(32.0, rel=0.05)
+        assert mnc_size_bytes(10**6, 10**6, 0) / 1e6 == pytest.approx(16.0, rel=0.05)
         assert density_map_size_bytes(10**6, 10**6, 0) / 1e6 == pytest.approx(122.0, rel=0.05)
 
 
