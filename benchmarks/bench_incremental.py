@@ -2,14 +2,12 @@
 
 The streaming path (docs/STREAMING.md) claims that ingesting a delta into
 an :class:`~repro.core.incremental.IncrementalSketch` and materializing
-the repaired sketch is far cheaper than the non-incremental alternative —
+the exact sketch is far cheaper than the non-incremental alternative —
 rescanning the mutated matrix with ``MNCSketch.from_matrix``. This module
 measures that claim on the canonical streaming workload: a burst of
 ``BURST`` successive deltas, each appending 1% of the current row count
 (the ISSUE's "1% delta"), with an exact sketch materialized after every
-delta. The patch number is the per-delta average over the burst, so the
-lazy-hygiene debt (pending cell batches, dirty extension entries) that
-accumulates between compactions is priced in rather than hidden.
+delta. The patch number is the per-delta average over the burst.
 
 The rebuild number deliberately excludes assembling the mutated matrix:
 it times only ``from_matrix`` on the final (largest) structure, i.e. the
@@ -19,8 +17,7 @@ advantage.
 
 Results land in ``benchmarks/results/BENCH_incremental.json``. A delete
 burst (1% of rows per delta) is measured and reported alongside, but only
-the append speedup is asserted — deletes must walk the deleted rows'
-structures, so their patch cost scales with adjacency, not delta count.
+the append speedup is asserted.
 
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_incremental.py``)
 or under pytest (the CI ``streaming`` job runs it and uploads the JSON).
@@ -132,7 +129,6 @@ def run_incremental_benchmark(scale: float | None = None) -> dict:
             "speedup": rebuild_seconds / patch_seconds,
             "final_shape": list(mutated.shape),
             "final_nnz": int(mutated.nnz),
-            "compactions": incremental.stats()["compactions"],
         }
 
     return {

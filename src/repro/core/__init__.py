@@ -38,7 +38,6 @@ from repro.core.incremental import (
     DeleteRows,
     IncrementalSketch,
     apply_update,
-    apply_updates,
     random_deltas,
 )
 from repro.core.intervals import NnzInterval, estimate_product_interval
@@ -71,7 +70,6 @@ __all__ = [
     "MNCSketch",
     "NnzInterval",
     "apply_update",
-    "apply_updates",
     "chain_sketches",
     "estimate_all_subchains",
     "estimate_chain_nnz",

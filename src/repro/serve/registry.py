@@ -115,10 +115,13 @@ class MatrixRegistry:
         patched in place afterwards. The service chains the fingerprint in
         ``O(|delta|)`` and partially invalidates memoized results
         (:meth:`EstimationService.apply_update`); here the registry rebinds
-        the name to the rematerialized matrix and a fresh leaf Expr, with
-        the chained fingerprint pre-assigned so no ``O(nnz)`` rehash ever
-        runs. Held under the registry lock end to end, so concurrent
-        deltas on one name serialize. Returns the new fingerprint.
+        the name to ``to_matrix()``'s result as it is, with the chained
+        fingerprint pre-assigned, and to a fresh leaf Expr over that very
+        object (it is canonical, so ``as_csr`` keeps it). Leaf
+        fingerprinting then finds the chained fingerprint, and no
+        ``O(nnz)`` rehash ever runs. Held under the registry lock end to
+        end, so concurrent deltas on one name serialize. Returns the new
+        fingerprint.
         """
         with self._lock:
             if name not in self._matrices:
@@ -135,7 +138,7 @@ class MatrixRegistry:
                 )
             except SketchError as exc:
                 raise ProtocolError(f"cannot apply delta: {exc}") from None
-            matrix = sp.csr_array(incremental.to_matrix())
+            matrix = incremental.to_matrix()
             assign_fingerprint(matrix, fingerprint)
             self._matrices[name] = matrix
             self._leaves[name] = leaf(matrix, name=name)

@@ -706,6 +706,22 @@ class TestStreamingUpdates:
             client.request("GET", "/matrices/X/updates")
         assert excinfo.value.status == 405
 
+    def test_update_binds_one_matrix_for_name_and_leaf(self):
+        """After a delta the leaf holds the very matrix the name is bound
+        to, so leaf fingerprinting finds the chained fingerprint instead
+        of rehashing the structure."""
+        from repro.catalog.fingerprint import fingerprint_matrix
+        from repro.core.incremental import AppendRows, BlockUpdate
+
+        registry = MatrixRegistry(EstimationService())
+        x, _ = _matrices()
+        registry.register("X", x)
+        for delta in (AppendRows([np.array([0, 3])]), BlockUpdate(1, 2, np.eye(3))):
+            fingerprint = registry.apply_update("X", delta)
+            matrix = registry.matrix("X")
+            assert registry.resolve("X").matrix is matrix
+            assert fingerprint_matrix(matrix) == fingerprint
+
     def test_reregister_resets_streaming_state(self, server):
         from repro.core.incremental import AppendRows
 
