@@ -8,8 +8,9 @@ clients use — measuring the two properties the serving layer promises:
   estimates, batches, chain plans, and estimates over a shard-merged
   registration) must be bit-identical to a direct
   :meth:`EstimationService.submit` fed the same registrations in the same
-  request order. Checked at every worker count in ``WORKER_COUNTS`` —
-  worker fan-out must not perturb answers.
+  request order. Checked at every ``$REPRO_WORKERS`` setting in
+  ``WORKERS_SETTINGS``, each lap against one serial direct replay — the
+  ambient worker default must not perturb answers.
 - **Warm throughput >= 10,000 estimates/sec.** Once the memo is hot, the
   server must sustain at least ``MIN_WARM_THROUGHPUT`` estimates per
   second through large batch POSTs (batching amortizes HTTP round-trips;
@@ -22,7 +23,9 @@ under pytest; either way it emits
 
 from __future__ import annotations
 
+import os
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -30,14 +33,16 @@ from conftest import bench_scale, write_bench_json
 from repro.catalog.service import EstimationService, ServiceRequest
 from repro.catalog.store import SketchStore
 from repro.matrix.random import random_sparse
+from repro.parallel import WORKERS_ENV
 from repro.serve import EstimationServer, MatrixRegistry, ServeClient, start_server_thread
 from repro.serve.protocol import decode_expr, encode_chain_solution
 
 #: Warm estimates/second the server must sustain through batch POSTs.
 MIN_WARM_THROUGHPUT = 10_000.0
 
-#: Worker counts at which bit-identity is asserted.
-WORKER_COUNTS = (1, 2)
+#: ``$REPRO_WORKERS`` values (``None``: unset) at which bit-identity is
+#: asserted.
+WORKERS_SETTINGS = (None, "2")
 
 #: Expressions per batch POST on the warm path.
 BATCH_SIZE = 256
@@ -88,48 +93,65 @@ def _direct_service(x, w, v) -> tuple[EstimationService, MatrixRegistry]:
     return service, registry
 
 
-def _identity_pass(client: ServeClient, x, w, v, workers: int) -> dict:
-    """Replay the same request sequence against the server and a direct
-    service; every field must match exactly."""
+@contextmanager
+def _workers_env(value):
+    """Run the block with ``$REPRO_WORKERS`` set to *value* (unset: None)."""
+    saved = os.environ.pop(WORKERS_ENV, None)
+    if value is not None:
+        os.environ[WORKERS_ENV] = value
+    try:
+        yield
+    finally:
+        os.environ.pop(WORKERS_ENV, None)
+        if saved is not None:
+            os.environ[WORKERS_ENV] = saved
+
+
+def _direct_replay(x, w, v) -> dict:
+    """The request sequence answered by a direct service: singles (cold,
+    then a warm second lap), one batch, one chain plan."""
     direct, registry = _direct_service(x, w, v)
+    wires = _wire_exprs()
+    singles = [
+        direct.submit(ServiceRequest.estimate(decode_expr(wire, registry.resolve)))
+        for wire in wires + wires
+    ]
+    batch = direct.submit(ServiceRequest.batch(
+        [decode_expr(wire, registry.resolve) for wire in wires]
+    ))
+    chain = encode_chain_solution(direct.submit(ServiceRequest.chain(
+        [registry.matrix(name) for name in ("X", "W", "V")],
+        rng=np.random.default_rng(CHAIN_SEED),
+    )))
+    return {"singles": singles, "batch": batch, "chain": chain}
+
+
+def _identity_pass(client: ServeClient, expected: dict, workers) -> dict:
+    """Replay the same request sequence against the server; every field
+    must match the direct replay exactly."""
     wires = _wire_exprs()
     mismatches = []
 
-    for wire in wires + wires:  # second lap replays warm
+    for wire, want in zip(wires + wires, expected["singles"]):
         served = client.estimate(wire)
-        expected = direct.submit(
-            ServiceRequest.estimate(decode_expr(wire, registry.resolve))
-        )
         for field in ("nnz", "sparsity", "fingerprint", "cached"):
-            if served[field] != expected[field]:
-                mismatches.append((wire, field, served[field], expected[field]))
+            if served[field] != want[field]:
+                mismatches.append((wire, field, served[field], want[field]))
 
-    served_batch = client.estimate_batch(wires, workers=workers)
-    expected_batch = direct.submit(ServiceRequest.batch(
-        [decode_expr(wire, registry.resolve) for wire in wires],
-        workers=workers,
-    ))
-    for wire, got, want in zip(wires, served_batch, expected_batch):
+    served_batch = client.estimate_batch(wires)
+    for wire, got, want in zip(wires, served_batch, expected["batch"]):
         for field in ("nnz", "sparsity", "fingerprint"):
             if got[field] != want[field]:
                 mismatches.append((wire, f"batch.{field}", got[field], want[field]))
 
-    served_chain = client.optimize_chain(["X", "W", "V"], seed=CHAIN_SEED,
-                                         workers=workers)
-    expected_chain = encode_chain_solution(direct.submit(ServiceRequest.chain(
-        [registry.matrix(name) for name in ("X", "W", "V")],
-        rng=np.random.default_rng(CHAIN_SEED),
-        workers=workers,
-    )))
-    if served_chain["plan"] != expected_chain["plan"]:
-        mismatches.append(("chain", "plan", served_chain["plan"],
-                           expected_chain["plan"]))
-    if served_chain["cost"] != expected_chain["cost"]:
-        mismatches.append(("chain", "cost", served_chain["cost"],
-                           expected_chain["cost"]))
+    served_chain = client.optimize_chain(["X", "W", "V"], seed=CHAIN_SEED)
+    for field in ("plan", "cost"):
+        if served_chain[field] != expected["chain"][field]:
+            mismatches.append(("chain", field, served_chain[field],
+                               expected["chain"][field]))
 
     return {
-        "workers": workers,
+        "repro_workers": workers,
         "requests": 2 * len(wires) + len(wires) + 1,
         "bit_identical": not mismatches,
         "mismatches": [
@@ -175,17 +197,20 @@ def run_serve_benchmark(scale: float | None = None) -> dict:
     scale = bench_scale() if scale is None else scale
     x, w, v = _dataset(scale)
 
+    with _workers_env(None):
+        expected = _direct_replay(x, w, v)
     identity = []
-    for workers in WORKER_COUNTS:
-        service = EstimationService(store=SketchStore(num_shards=4))
-        handle = start_server_thread(EstimationServer(service=service, port=0))
-        client = ServeClient(handle.host, handle.port)
-        try:
-            _register_all(client, x, w, v)
-            identity.append(_identity_pass(client, x, w, v, workers))
-        finally:
-            client.close()
-            handle.stop()
+    for workers in WORKERS_SETTINGS:
+        with _workers_env(workers):
+            service = EstimationService(store=SketchStore(num_shards=4))
+            handle = start_server_thread(EstimationServer(service=service, port=0))
+            client = ServeClient(handle.host, handle.port)
+            try:
+                _register_all(client, x, w, v)
+                identity.append(_identity_pass(client, expected, workers))
+            finally:
+                client.close()
+                handle.stop()
 
     service = EstimationService(store=SketchStore(num_shards=4))
     handle = start_server_thread(EstimationServer(service=service, port=0))
@@ -219,7 +244,7 @@ def test_serve_bit_identity_and_throughput():
     for lap in payload["identity"]:
         assert lap["bit_identical"], (
             f"server answers diverge from direct service at "
-            f"workers={lap['workers']}: {lap['mismatches']}"
+            f"REPRO_WORKERS={lap['repro_workers']}: {lap['mismatches']}"
         )
     assert payload["warm_throughput_per_sec"] >= MIN_WARM_THROUGHPUT, (
         f"warm throughput {payload['warm_throughput_per_sec']:,.0f}/s "

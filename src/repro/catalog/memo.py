@@ -17,9 +17,10 @@ Charges are fixed at ``put`` time, so a value must not outgrow its charge
 once memoized: an MNC sketch is charged the float64 views it may cache,
 and the service memoizes ``counts_only()`` twins, which cache none and are
 charged their counts alone. The memo
-also supports explicit invalidation by fingerprint and/or estimator — the
-hook for workloads where a registered matrix is replaced under the same
-logical name.
+also supports explicit invalidation by fingerprint — the hook for
+workloads where a registered matrix is replaced under the same logical
+name, or patched by a streaming delta — answered from an index, not a
+scan of the entries.
 
 Concurrency contract (the serving tier leans on all three):
 
@@ -121,9 +122,9 @@ class EstimateMemo:
         #: Keys whose value is being computed right now (memoize's
         #: single-writer-per-key protocol); waiters block on the event.
         self._inflight: Dict[MemoKey, _Pending] = {}
-        #: Leaf-dependency index for partial invalidation (streaming):
-        #: ``depends_on`` fingerprints -> keys of entries derived from
-        #: them, plus the per-key inverse so eviction stays O(deps).
+        #: Invalidation index: fingerprint -> keys of the entries keyed on
+        #: it or declaring it in ``depends_on``, plus each key's declared
+        #: dependencies so eviction unlinks it in O(deps).
         self._dependents: Dict[str, Set[MemoKey]] = {}
         self._key_deps: Dict[MemoKey, Tuple[str, ...]] = {}
         self._hits = 0
@@ -156,8 +157,8 @@ class EstimateMemo:
         self._unlink_deps(key)
 
     def _unlink_deps(self, key: MemoKey) -> None:
-        """Drop *key* from the dependency index (caller holds the lock)."""
-        for dep in self._key_deps.pop(key, ()):
+        """Drop *key* from the invalidation index (caller holds the lock)."""
+        for dep in (key[0], *self._key_deps.pop(key, ())):
             dependents = self._dependents.get(dep)
             if dependents is not None:
                 dependents.discard(key)
@@ -196,11 +197,11 @@ class EstimateMemo:
                 self._entries[key] = value
                 self._charges[key] = charge
                 self._bytes_used += charge
-                if depends_on:
-                    deps = tuple(dict.fromkeys(depends_on))
+                deps = tuple(dict.fromkeys(depends_on)) if depends_on else ()
+                if deps:
                     self._key_deps[key] = deps
-                    for dep in deps:
-                        self._dependents.setdefault(dep, set()).add(key)
+                for dep in (fingerprint, *deps):
+                    self._dependents.setdefault(dep, set()).add(key)
                 while (
                     len(self._entries) > self.max_entries
                     or self._bytes_used > self.budget_bytes
@@ -279,56 +280,39 @@ class EstimateMemo:
             # else the writer's value; if the writer failed this thread
             # competes to become the new writer.
 
-    def invalidate(
-        self,
-        fingerprint: Optional[str] = None,
-        estimator: Optional[str] = None,
-    ) -> int:
-        """Drop entries matching the given fingerprint and/or estimator.
+    def invalidate(self, fingerprint: str) -> int:
+        """Drop every entry keyed on *fingerprint* or declaring it in
+        ``depends_on``; returns the number of entries removed.
 
-        A fingerprint matches an entry keyed on it *and* every entry that
-        declared it in ``depends_on`` — so mutating one leaf evicts exactly
-        the results derived from that leaf, leaving memoized work over
-        untouched subexpressions in place (partial invalidation). With both
-        arguments ``None`` this clears everything. Returns the number of
-        entries removed.
+        Mutating one leaf thus evicts exactly the results derived from
+        that leaf, leaving memoized work over untouched subexpressions in
+        place (partial invalidation). One index lookup finds the entries,
+        whatever the memo's size.
         """
         with self._lock:
-            if fingerprint is None and estimator is None:
-                removed = len(self._entries)
-                self._entries.clear()
-                self._charges.clear()
-                self._bytes_used = 0
-                self._dependents.clear()
-                self._key_deps.clear()
-            else:
-                dependents = (
-                    self._dependents.get(fingerprint, set())
-                    if fingerprint is not None
-                    else set()
-                )
-                doomed = [
-                    key
-                    for key in self._entries
-                    if (
-                        fingerprint is None
-                        or key[0] == fingerprint
-                        or key in dependents
-                    )
-                    and (estimator is None or key[1] == estimator)
-                ]
-                for key in doomed:
-                    self._remove(key)
-                removed = len(doomed)
-            self._invalidations += removed
-            self._publish_gauges()
-        if removed:
-            metric_inc("catalog.memo.invalidation", removed)
-        return removed
+            doomed = list(self._dependents.get(fingerprint, ()))
+            for key in doomed:
+                self._remove(key)
+            return self._count_invalidations(len(doomed))
 
     def clear(self) -> None:
         """Drop every memoized result (counters are kept)."""
-        self.invalidate()
+        with self._lock:
+            removed = len(self._entries)
+            self._entries.clear()
+            self._charges.clear()
+            self._bytes_used = 0
+            self._dependents.clear()
+            self._key_deps.clear()
+            self._count_invalidations(removed)
+
+    def _count_invalidations(self, removed: int) -> int:
+        """Count *removed* invalidated entries (caller holds the lock)."""
+        self._invalidations += removed
+        self._publish_gauges()
+        if removed:
+            metric_inc("catalog.memo.invalidation", removed)
+        return removed
 
     def _publish_gauges(self) -> None:
         """Mirror the resident set onto the gauges (caller holds the lock)."""

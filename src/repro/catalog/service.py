@@ -33,7 +33,6 @@ services rather than sharing one catalog.
 
 from __future__ import annotations
 
-import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -57,8 +56,6 @@ from repro.observability.recording import unwrap_estimator
 from repro.observability.metrics import metric_inc
 from repro.observability.trace import timed_span
 from repro.opcodes import Op
-from repro.parallel.engine import WorkerPool, resolve_workers, run_tasks
-from repro.parallel.spill import PortableDag, load_dag, spill_dag
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,6 @@ class ServiceRequest:
     exprs: Tuple[Expr, ...] = ()
     matrices: Tuple[MatrixLike, ...] = ()
     include_intermediates: bool = False
-    workers: Optional[int] = None
     rng: Any = None
     #: Per-request estimator override (``None`` = the service's own). An
     #: ``auto`` spec routes the request through the adaptive router.
@@ -101,20 +97,18 @@ class ServiceRequest:
         cls,
         exprs: Sequence[Expr],
         *,
-        workers: Optional[int] = None,
         estimator: Union[EstimatorSpec, str, Mapping, None] = None,
         tolerance: Optional[float] = None,
     ) -> "ServiceRequest":
-        """Estimate a batch of expression roots, optionally in parallel."""
-        return cls(kind="estimate_many", exprs=tuple(exprs), workers=workers,
+        """Estimate a batch of expression roots, one after another."""
+        return cls(kind="estimate_many", exprs=tuple(exprs),
                    estimator=_request_spec(estimator, tolerance))
 
     @classmethod
-    def chain(cls, matrices: Sequence[MatrixLike], *, rng: Any = None,
-              workers: Optional[int] = None) -> "ServiceRequest":
+    def chain(cls, matrices: Sequence[MatrixLike], *,
+              rng: Any = None) -> "ServiceRequest":
         """Sparsity-aware matrix-chain optimization."""
-        return cls(kind="optimize_chain", matrices=tuple(matrices), rng=rng,
-                   workers=workers)
+        return cls(kind="optimize_chain", matrices=tuple(matrices), rng=rng)
 
 
 def _request_spec(
@@ -139,8 +133,6 @@ class EstimationService:
         store: sketch store to use/share; a fresh in-memory
             single-shard :class:`SketchStore` by default.
         memo: result memo to use/share; fresh by default.
-        pool: persistent :class:`~repro.parallel.engine.WorkerPool` for
-            parallel batches; ``None`` keeps the historical per-call pool.
         policy: learned :class:`~repro.router.RoutingPolicy` shared by
             every ``auto`` route (the service's own and per-request ones);
             defaults to the policy persisted next to the store's spill
@@ -157,12 +149,10 @@ class EstimationService:
         estimator: Union[str, Mapping, EstimatorSpec, SparsityEstimator] = "mnc",
         store: Optional[SketchStore] = None,
         memo: Optional[EstimateMemo] = None,
-        pool: Optional[WorkerPool] = None,
         policy: Optional["RoutingPolicy"] = None,
     ):
         self.store = store if store is not None else SketchStore()
         self.memo = memo if memo is not None else EstimateMemo()
-        self.pool = pool
         self.router = None
         self.spec: Optional[EstimatorSpec] = None
         self._policy = policy
@@ -297,13 +287,14 @@ class EstimationService:
     # ------------------------------------------------------------------
 
     def submit(self, request: ServiceRequest) -> Any:
-        """Execute one :class:`ServiceRequest` — the single entry point the
-        historical ``estimate`` / ``estimate_many`` / ``optimize_chain``
-        methods now delegate to.
+        """Execute one :class:`ServiceRequest` — the service's single entry
+        point (:meth:`estimate` is shorthand for a one-root request).
 
         Returns the result dict for ``"estimate"``, a list of result dicts
         for ``"estimate_many"``, and the optimizer's plan object for
-        ``"optimize_chain"``.
+        ``"optimize_chain"``. A batch is answered root by root, in order,
+        exactly as the same roots submitted one at a time: a later repeat
+        of a root is a counted memo hit.
         """
         metric_inc(f"catalog.service.requests.{request.kind}")
         if request.kind == "estimate":
@@ -317,15 +308,16 @@ class EstimationService:
                 include_intermediates=request.include_intermediates,
             )
         if request.kind == "estimate_many":
-            return self._estimate_batch(
-                request.exprs, request.estimator, workers=request.workers
-            )
+            with timed_span("catalog.service.batch", size=len(request.exprs)):
+                return [
+                    self._estimate_one(expr, request.estimator)
+                    for expr in request.exprs
+                ]
         if request.kind == "optimize_chain":
             from repro.optimizer.mmchain import optimize_chain_matrices
 
             return optimize_chain_matrices(
-                request.matrices, rng=request.rng, catalog=self,
-                workers=request.workers,
+                request.matrices, rng=request.rng, catalog=self
             )
         raise ReproError(f"unknown ServiceRequest kind {request.kind!r}")
 
@@ -452,156 +444,6 @@ class EstimationService:
         if intermediates is not None:
             result["intermediates"] = intermediates
         return result
-
-    def estimate_many(
-        self, exprs: Sequence[Expr], workers: Optional[int] = None
-    ) -> List[Dict[str, Any]]:
-        """Batched :meth:`estimate`.
-
-        Serial batches (``workers`` unset/1) reuse synopses and results
-        cached by earlier expressions in the batch. With ``workers > 1``,
-        uncached roots fan out to worker processes over the shared-spill
-        protocol: leaf matrices and resident sketches travel once through
-        the catalog directory (the store's spill dir, or a temporary one),
-        each worker rebuilds its expressions against a warm-started store,
-        and root results flow back into this service's memo. Workers
-        estimate with independent copies of the estimator, so estimators
-        that consume randomness across calls (e.g. MNC's probabilistic
-        rounding) may round differently than a serial batch would — results
-        are deterministic for any fixed worker count > 1.
-        """
-        return self.submit(ServiceRequest.batch(exprs, workers=workers))
-
-    def _estimate_batch(
-        self, exprs: Sequence[Expr], spec: Optional[EstimatorSpec] = None,
-        workers: Optional[int] = None,
-    ) -> List[Dict[str, Any]]:
-        exprs = list(exprs)
-        workers = resolve_workers(workers)
-        with timed_span(
-            "catalog.service.batch", size=len(exprs), workers=workers
-        ):
-            if workers <= 1 or len(exprs) <= 1:
-                return [self._estimate_one(expr, spec) for expr in exprs]
-            return self._estimate_batch_parallel(exprs, spec, workers)
-
-    def _estimate_batch_parallel(
-        self, exprs: List[Expr], spec: Optional[EstimatorSpec], workers: int
-    ) -> List[Dict[str, Any]]:
-        """Fan uncached roots out to worker processes via shared spill.
-
-        One task ships per distinct uncached root fingerprint; a later
-        repeat in the batch is answered from the first one's result as a
-        memo hit, exactly as the serial path answers it.
-        """
-        _, estimator_key, tag = self._resolve(spec)
-        routed = tag == "route"
-        results: List[Optional[Dict[str, Any]]] = [None] * len(exprs)
-        pending: List[Tuple[int, Expr, str]] = []
-        first_index: Dict[str, int] = {}
-        repeats: List[Tuple[int, Expr, str]] = []
-        for i, expr in enumerate(exprs):
-            fingerprint = fingerprint_expr(expr)
-            if fingerprint in first_index:
-                repeats.append((i, expr, fingerprint))
-                continue
-            value = self.memo.get(fingerprint, estimator_key, tag)
-            if value is None:
-                first_index[fingerprint] = i
-                pending.append((i, expr, fingerprint))
-                continue
-            # Warm path: answer from the parent memo without shipping.
-            nnz, router_meta = value if routed else (value, None)
-            results[i] = self._batch_hit(expr, fingerprint, nnz, router_meta)
-        if len(pending) == 1:
-            index, expr, _ = pending[0]
-            results[index] = self._estimate_one(expr, spec)
-        elif pending:
-            self._fan_out(pending, results, workers, spec)
-        for index, expr, fingerprint in repeats:
-            first = results[first_index[fingerprint]]
-            results[index] = self._batch_hit(
-                expr, fingerprint, first["nnz"], first.get("router")
-            )
-        return [result for result in results if result is not None]
-
-    def _batch_hit(
-        self, expr: Expr, fingerprint: str, nnz: float,
-        router_meta: Optional[Dict[str, Any]],
-    ) -> Dict[str, Any]:
-        """A batch answer served without estimation, counted as a hit."""
-        with self._lock:
-            self._requests += 1
-            self._hits += 1
-        metric_inc("catalog.service.hit")
-        return _result(expr, fingerprint, nnz, 0.0, True, router_meta)
-
-    def _fan_out(
-        self, pending: List[Tuple[int, Expr, str]],
-        results: List[Optional[Dict[str, Any]]], workers: int,
-        spec: Optional[EstimatorSpec],
-    ) -> None:
-        """Estimate *pending* roots in worker processes into *results*."""
-        resolved, estimator_key, tag = self._resolve(spec)
-        directory = self.store.spill_dir
-        cleanup = None
-        if directory is None:
-            cleanup = tempfile.TemporaryDirectory(prefix="repro-spill-")
-            directory = cleanup.name
-        try:
-            # Resident sketches travel to workers through the directory
-            # (store.persist is a no-op for non-sketch estimators' services,
-            # whose state lives in the memo instead).
-            if len(self.store):
-                self.store.persist(directory)
-            if tag == "route":
-                # Workers route against the frozen policy snapshot this
-                # service would use, so parallel and serial batches take
-                # bit-identical routes.
-                shipped: Any = (
-                    _AUTO_TASK, spec if spec is not None else self.spec,
-                    resolved.policy.snapshot(),
-                )
-            else:
-                shipped = resolved
-            tasks = [
-                (shipped, str(directory), spill_dag(expr, directory))
-                for _, expr, _ in pending
-            ]
-            task_results = run_tasks(
-                _estimate_worker, tasks, workers=workers,
-                label="catalog.service.fanout", pool=self.pool,
-            )
-            for (index, expr, fingerprint), outcome in zip(pending, task_results):
-                if not outcome.ok:
-                    # Worker died: recover deterministically in-process
-                    # (_estimate_one does its own counting and memoization).
-                    metric_inc("catalog.service.fanout_retries")
-                    results[index] = self._estimate_one(expr, spec)
-                    continue
-                with self._lock:
-                    self._requests += 1
-                metric_inc("catalog.service.miss")
-                result = dict(outcome.value)
-                value = (
-                    (result["nnz"], result["router"]) if tag == "route"
-                    else result["nnz"]
-                )
-                self.memo.put(
-                    fingerprint, estimator_key, tag, value,
-                    depends_on=_leaf_fingerprints(expr),
-                )
-                results[index] = result
-        finally:
-            if cleanup is not None:
-                cleanup.cleanup()
-
-    def optimize_chain(self, matrices: Sequence[MatrixLike], rng=None,
-                       workers: Optional[int] = None):
-        """Sparsity-aware chain optimization over catalog-cached sketches."""
-        return self.submit(ServiceRequest.chain(
-            matrices, rng=rng, workers=workers
-        ))
 
     # ------------------------------------------------------------------
     # Catalog protocol (used by repro.ir.estimate during DAG walks)
@@ -792,36 +634,3 @@ def _leaf_fingerprints(expr: Expr) -> Tuple[str, ...]:
     return tuple(
         dict.fromkeys(fingerprints[id(leaf)] for leaf in expr.leaves())
     )
-
-
-#: Sentinel heading the shipped-estimator tuple for routed fan-out tasks.
-_AUTO_TASK = "__auto__"
-
-
-def _estimate_worker(
-    task: Tuple[Any, str, PortableDag]
-) -> Dict[str, Any]:
-    """Worker entry point for the parallel ``estimate_many`` path.
-
-    Rebuilds one spilled expression against a store warm-started from the
-    shared catalog directory, estimates it with a private service, and
-    returns the plain result dict. Routed tasks ship
-    ``(_AUTO_TASK, spec, policy snapshot)`` in the estimator slot; the
-    worker routes against that frozen snapshot, never its own ledger, so
-    its route matches what the parent would have taken serially.
-    """
-    estimator, directory, portable = task
-    store = SketchStore(spill_dir=directory)
-    store.warm_start(directory)
-    if isinstance(estimator, tuple) and estimator and estimator[0] == _AUTO_TASK:
-        from repro.router import RoutingPolicy
-
-        _, spec, policy_snapshot = estimator
-        service = EstimationService(
-            estimator=spec, store=store,
-            policy=RoutingPolicy.from_snapshot(policy_snapshot),
-        )
-    else:
-        service = EstimationService(estimator=estimator, store=store)
-    expr = load_dag(portable, directory)
-    return service._estimate_one(expr)

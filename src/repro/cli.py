@@ -20,7 +20,7 @@ Commands
   on-disk sketch catalog (``<fingerprint>.npz`` files, see
   ``docs/CATALOG.md``); ``catalog stats --format json`` emits the same
   summary as a JSON document for scripting.
-- ``serve [--host H --port P --catalog DIR --workers N --shards K
+- ``serve [--host H --port P --catalog DIR --shards K
   --budget-bytes B --ttl SECONDS --estimator NAME|auto --tolerance W]``
   — run the multi-tenant estimation server (``POST /matrices``,
   ``POST /estimate``, ``GET /stats|/metrics|/healthz``) over a
@@ -51,10 +51,10 @@ propagation, plus per-(use case, estimator) outcomes) as JSON lines,
 ``--flight-recorder FILE`` to arm the postmortem flight recorder; see
 ``docs/OBSERVABILITY.md``.
 
-``estimate``, ``sparsest``, and ``verify`` additionally accept
-``--workers N`` to fan independent estimation work out across worker
-processes (default ``$REPRO_WORKERS`` or 1; results match a serial run —
-see ``docs/PARALLEL.md``). Worker traces are merged into the parent's
+``sparsest`` and ``verify`` additionally accept ``--workers N`` to fan
+independent estimation work out across worker processes (default
+``$REPRO_WORKERS`` or 1; results match a serial run — see
+``docs/PARALLEL.md``). Worker traces are merged into the parent's
 ``--trace`` output.
 
 Data commands (and ``estimators``/``serve``) accept ``--backend NAME``
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate_cmd = commands.add_parser(
         "estimate", help="estimate the sparsity of a product A @ B",
-        parents=[tracing, parallelism, backend_opts],
+        parents=[tracing, backend_opts],
     )
     estimate_cmd.add_argument("left", help="path to A (.npz)")
     estimate_cmd.add_argument("right", help="path to B (.npz)")
@@ -285,7 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_cmd = commands.add_parser(
         "serve", help="run the multi-tenant estimation server",
-        parents=[parallelism, backend_opts],
+        parents=[backend_opts],
+    )
+    serve_cmd.add_argument(
+        "--workers", type=int, metavar="N", default=None,
+        help="accepted for compatibility and ignored: the server answers "
+             "every request on its one estimation thread",
     )
     serve_cmd.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
@@ -433,7 +438,6 @@ def _cmd_estimate(
     estimator_name: Optional[str],
     exact: bool,
     catalog_dir: Optional[str] = None,
-    workers: Optional[int] = None,
     tolerance: Optional[float] = None,
 ) -> int:
     from repro.estimators.spec import EstimatorSpec
@@ -451,8 +455,7 @@ def _cmd_estimate(
         service = EstimationService(
             spec, store=SketchStore(spill_dir=catalog_dir)
         )
-        request = ServiceRequest.batch([leaf(a) @ leaf(b)], workers=workers)
-        result = service.submit(request)[0]
+        result = service.submit(ServiceRequest.estimate(leaf(a) @ leaf(b)))
         nnz = result["nnz"]
         stored = service.persist(catalog_dir)
         store_stats = service.store.stats()
@@ -857,7 +860,6 @@ def _cmd_serve(
     budget_bytes: Optional[int],
     ttl: Optional[float],
     estimator: Optional[str],
-    workers: Optional[int],
     tolerance: Optional[float] = None,
 ) -> int:
     from pathlib import Path
@@ -865,7 +867,6 @@ def _cmd_serve(
     from repro.catalog.service import EstimationService
     from repro.catalog.store import DEFAULT_BUDGET_BYTES, SketchStore
     from repro.estimators.spec import EstimatorSpec
-    from repro.parallel import WorkerPool, resolve_workers
     from repro.serve.server import EstimationServer
 
     from repro import backends
@@ -892,10 +893,7 @@ def _cmd_serve(
         if warmed:
             print(f"warm start: {len(warmed)} sketch(es) from {catalog}",
                   file=sys.stderr)
-    pool = None
-    if resolve_workers(workers) > 1:
-        pool = WorkerPool(workers)
-    service = EstimationService(spec, store=store, pool=pool)
+    service = EstimationService(spec, store=store)
     server = EstimationServer(service=service, host=host, port=port)
     def _announce(h: str, p: int) -> None:
         print(f"repro serve: listening on http://{h}:{p}", file=sys.stderr)
@@ -923,7 +921,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "estimate":
         return _cmd_estimate(
             args.left, args.right, args.estimator, args.exact, args.catalog,
-            workers=args.workers, tolerance=args.tolerance,
+            tolerance=args.tolerance,
         )
     if args.command == "sparsest":
         return _cmd_sparsest(
@@ -951,7 +949,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_serve(
             args.host, args.port, args.catalog, args.shards,
             args.budget_bytes, args.ttl, args.estimator,
-            workers=args.workers, tolerance=args.tolerance,
+            tolerance=args.tolerance,
         )
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 

@@ -562,7 +562,7 @@ class MNCSketch:
 
     # ------------------------------------------------------------------
     # Pickling: drop lazy caches (cheap to rebuild, and the float64
-    # mirrors would double the wire size of parallel/spill payloads).
+    # mirrors would double the size of pickled task payloads).
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:

@@ -32,7 +32,6 @@ from repro.core.scratch import ScratchBuffer
 from repro.core.sketch import COUNT_DTYPE, MNCSketch
 from repro.errors import PlanError
 from repro.optimizer.cost import Plan, dense_matmul_flops, sparse_matmul_flops
-from repro.parallel.engine import map_values
 
 
 #: The sparse DP's workspace: every intermediate cell's ``hr``/``hc``
@@ -103,11 +102,10 @@ def optimize_chain_sparse(
             :meth:`MNCSketch.from_matrix`).
         rng: randomness for probabilistic rounding during sketch
             propagation, consumed cell by cell in (span, start) order.
-        workers: accepted like every other entry point's, and ignored:
-            each worker count runs the one serial schedule, so plans and
-            costs never depend on it. (Evaluating a span's cells from a
-            thread pool measured slower on two CPUs, and needed per-cell
-            seeds that rounded differently; docs/PARALLEL.md.)
+        workers: ignored; every worker count runs the one serial
+            schedule, so plans and costs never depend on it. It still
+            parses only because ``e2ebench/inproc.py`` passes it
+            (docs/PARALLEL.md).
 
     Intermediate sketches live in the calling thread's workspace (see the
     module docstring); none of them outlives the call.
@@ -147,16 +145,10 @@ def optimize_chain_sparse(
     return ChainSolution(plan=_extract_plan(splits, 0, n - 1), cost=float(costs[0, n - 1]))
 
 
-def _sketch_matrix(matrix) -> MNCSketch:
-    """Worker entry point for parallel leaf sketching."""
-    return MNCSketch.from_matrix(matrix)
-
-
 def optimize_chain_matrices(
     matrices: Sequence,
     rng: SeedLike = None,
     catalog: Optional[object] = None,
-    workers: Optional[int] = None,
 ) -> ChainSolution:
     """Sparsity-aware chain DP straight from concrete matrices.
 
@@ -167,20 +159,9 @@ def optimize_chain_matrices(
             (or anything with ``sketch_for``); when given, leaf sketches
             come from the catalog — matrices already registered there (or
             optimized before) are never re-sketched.
-        workers: process count for sketching leaves in parallel (catalog-less
-            runs only — a catalog's store already deduplicates that work).
-            ``None`` reads ``$REPRO_WORKERS`` (default 1). Sketch
-            construction is deterministic and the DP runs one serial
-            schedule, so the worker count never changes results.
     """
-    if catalog is not None:
-        sketches = [catalog.sketch_for(matrix) for matrix in matrices]
-    else:
-        sketches = map_values(
-            _sketch_matrix, list(matrices), workers=workers,
-            label="mmchain.sketch",
-        )
-    return optimize_chain_sparse(sketches, rng=rng, workers=workers)
+    build = catalog.sketch_for if catalog is not None else MNCSketch.from_matrix
+    return optimize_chain_sparse([build(matrix) for matrix in matrices], rng=rng)
 
 
 def left_deep_plan(n: int) -> Plan:

@@ -1,21 +1,14 @@
 """Parallel estimation engine: process-pool fan-out with a serial core.
 
-``repro.parallel`` turns the independent units of work this repository
-already has — (use case x estimator) cells in the SparsEst runner, fuzz
-chunks in :mod:`repro.verify`, per-root requests in
-:class:`~repro.catalog.service.EstimationService`, leaf sketching in the
-mm-chain optimizer — into picklable tasks executed across worker
-processes, while keeping ``workers=1`` (the default) byte-for-byte
-identical to the pre-parallel code paths.
+``repro.parallel`` turns two kinds of independent work — (use case x
+estimator) cells in the SparsEst runner and fuzz chunks in
+:mod:`repro.verify` — into picklable, name-carrying tasks executed across
+worker processes, while keeping ``workers=1`` (the default) byte-for-byte
+identical to the serial code paths.
 
-Three pieces:
-
-- :mod:`repro.parallel.engine` — ``run_tasks``/``map_values``: ordered
-  fan-out with crash isolation and per-worker trace capture, merged back
-  into the parent collector in task order.
-- :mod:`repro.parallel.spill` — the shared-npz leaf spill protocol:
-  DAGs travel to workers as fingerprint skeletons, leaf matrices travel
-  once through the catalog directory.
+- :mod:`repro.parallel.engine` — ``run_tasks``: ordered fan-out with
+  crash isolation and per-worker trace capture, merged back into the
+  parent collector in task order.
 - ``$REPRO_WORKERS`` — the ambient default worker count, read by
   :func:`resolve_workers` wherever a ``workers`` argument is left unset.
 
@@ -26,23 +19,14 @@ from repro.parallel.engine import (
     WORKERS_ENV,
     TaskFailure,
     TaskResult,
-    WorkerPool,
-    map_values,
     resolve_workers,
     run_tasks,
 )
-from repro.parallel.spill import PortableDag, PortableNode, load_dag, spill_dag
 
 __all__ = [
-    "PortableDag",
-    "PortableNode",
     "TaskFailure",
     "TaskResult",
     "WORKERS_ENV",
-    "WorkerPool",
-    "load_dag",
-    "map_values",
     "resolve_workers",
     "run_tasks",
-    "spill_dag",
 ]

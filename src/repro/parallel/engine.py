@@ -33,7 +33,6 @@ does.
 from __future__ import annotations
 
 import os
-import threading
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -135,61 +134,12 @@ def _invoke(fn: Callable[[Any], Any], task: Any, tracing: bool):
         return _failure_from(exc), payload_with_metrics()
 
 
-class WorkerPool:
-    """A persistent, reusable process pool for serving-shaped workloads.
-
-    :func:`run_tasks` builds and tears down a ``ProcessPoolExecutor`` per
-    call — the right trade for batch jobs, but a long-running server paying
-    worker fork/spawn on every cold batch would dominate small fan-outs.
-    A :class:`WorkerPool` amortizes that: the executor is created lazily on
-    first use, reused across :func:`run_tasks` calls (pass it as ``pool=``),
-    and transparently rebuilt after a hard worker death so one crashed
-    batch does not poison the next.
-
-    Thread-safe; usable as a context manager (``with WorkerPool(4) as p:``).
-    """
-
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = resolve_workers(workers)
-        self._lock = threading.Lock()
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    def executor(self) -> ProcessPoolExecutor:
-        """The live executor, created on first use (and after resets)."""
-        with self._lock:
-            if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-                metric_inc("parallel.pool_spawns")
-            return self._executor
-
-    def reset(self) -> None:
-        """Discard a (presumed broken) executor; the next use rebuilds."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        """Shut the executor down for good (idempotent)."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def run_tasks(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
     *,
     workers: Optional[int] = None,
     label: str = "parallel.run",
-    pool: Optional[WorkerPool] = None,
 ) -> List[TaskResult]:
     """Execute ``fn(task)`` for every task, possibly across processes.
 
@@ -197,26 +147,21 @@ def run_tasks(
         fn: an importable (module-level) callable; it and every task must
             be picklable when ``workers > 1``.
         tasks: work items, executed independently.
-        workers: process count; ``None`` reads ``$REPRO_WORKERS`` (or, with
-            ``pool`` given, the pool's size); ``<= 1`` runs serially
-            in-process (no pool, live collector).
+        workers: process count; ``None`` reads ``$REPRO_WORKERS``;
+            ``<= 1`` runs serially in-process (no pool, live collector).
         label: span name for the surrounding ``timed_span``.
-        pool: a persistent :class:`WorkerPool` to run on instead of a
-            per-call executor — the serving tier's amortization hook.
 
     Returns:
         One :class:`TaskResult` per task, **in task order** regardless of
         completion order. Exceptions (and worker deaths, in pool mode)
         surface as ``TaskFailure`` results, not raises.
     """
-    if workers is None and pool is not None:
-        workers = pool.workers
     workers = resolve_workers(workers)
     tasks = list(tasks)
     with timed_span(label, workers=workers, tasks=len(tasks)):
         if workers <= 1 or len(tasks) <= 1:
             return _run_serial(fn, tasks)
-        return _run_pool(fn, tasks, workers, pool=pool)
+        return _run_pool(fn, tasks, workers)
 
 
 def _run_serial(fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[TaskResult]:
@@ -239,20 +184,13 @@ def _run_pool(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
     workers: int,
-    pool: Optional[WorkerPool] = None,
 ) -> List[TaskResult]:
     parent = get_collector()
     tracing = bool(parent.enabled)
     results: List[TaskResult] = [TaskResult(index=i) for i in range(len(tasks))]
     payloads: List[Optional[TracePayload]] = [None] * len(tasks)
     metric_inc("parallel.pool_runs")
-    broken = False
-    if pool is not None:
-        executor = pool.executor()
-        owns_executor = False
-    else:
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
-        owns_executor = True
+    executor = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
     try:
         futures = [
             executor.submit(_invoke, fn, task, tracing) for task in tasks
@@ -261,7 +199,6 @@ def _run_pool(
             try:
                 value, payload = future.result()
             except BrokenProcessPool:
-                broken = True
                 # The worker died mid-task (segfault, os._exit, OOM kill).
                 # Every not-yet-finished future raises the same error; each
                 # becomes a failed result so callers see a complete,
@@ -295,12 +232,7 @@ def _run_pool(
             else:
                 results[index].value = value
     finally:
-        if owns_executor:
-            executor.shutdown(wait=True)
-        elif broken and pool is not None:
-            # A crashed worker leaves a persistent pool permanently broken;
-            # discard it so the pool's next caller gets a fresh executor.
-            pool.reset()
+        executor.shutdown(wait=True)
     # Merge worker traces and metric deltas in task order — deterministic
     # independent of the order workers actually finished in. Crashed
     # workers shipped no payload, so the merged state is exactly the sum
@@ -314,24 +246,3 @@ def _run_pool(
             METRICS.merge(payload.metrics)
     metric_inc("parallel.tasks", float(len(tasks)))
     return results
-
-
-def map_values(
-    fn: Callable[[Any], Any],
-    tasks: Sequence[Any],
-    *,
-    workers: Optional[int] = None,
-    label: str = "parallel.map",
-) -> List[Any]:
-    """Like :func:`run_tasks` but unwraps values, re-raising any failure.
-
-    Convenience for callers with no partial-failure story (e.g. building
-    leaf sketches, where a failure means the whole computation is wrong).
-    """
-    results = run_tasks(fn, tasks, workers=workers, label=label)
-    for result in results:
-        if not result.ok:
-            raise RuntimeError(
-                f"parallel task {result.index} failed: {result.failure}"
-            )
-    return [result.value for result in results]

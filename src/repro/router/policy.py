@@ -8,11 +8,9 @@ tends to be on a given workload/op, and the router consults those bands
 instead of its static priors once data exists.
 
 Like :class:`~repro.observability.metrics.MetricsSnapshot`, a policy is
-snapshot-serializable and mergeable, so parallel workers can each route
-against the same frozen snapshot (determinism) and their observations can
-be folded back together afterwards. ``save``/``load`` persist the policy
-as ``routing_policy.json`` alongside the sketch catalog, so routing keeps
-improving across sessions.
+snapshot-serializable and mergeable: ``save``/``load`` persist the policy
+as ``routing_policy.json`` alongside the sketch catalog, and a persisted
+policy folds into a live one, so routing keeps improving across sessions.
 """
 
 from __future__ import annotations
@@ -208,7 +206,7 @@ class RoutingPolicy:
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-safe frozen copy (sorted keys — byte-stable for a given
-        state, so workers routing against the same snapshot agree)."""
+        state, so one state always saves to the same file)."""
         with self._lock:
             entries = {
                 "|".join(key): stats.to_dict()

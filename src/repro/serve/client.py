@@ -202,13 +202,10 @@ class ServeClient:
     def estimate_batch(
         self,
         exprs: Sequence[Dict[str, Any]],
-        workers: Optional[int] = None,
         estimator: Any = None,
         tolerance: Optional[float] = None,
     ) -> List[Dict[str, Any]]:
         body: Dict[str, Any] = {"exprs": list(exprs)}
-        if workers is not None:
-            body["workers"] = int(workers)
         _add_estimator(body, estimator, tolerance)
         return self.request("POST", "/estimate", body)["results"]
 
@@ -216,11 +213,8 @@ class ServeClient:
         self,
         names: Sequence[str],
         seed: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> Dict[str, Any]:
         body: Dict[str, Any] = {"chain": list(names)}
         if seed is not None:
             body["seed"] = int(seed)
-        if workers is not None:
-            body["workers"] = int(workers)
         return self.request("POST", "/estimate", body)

@@ -249,12 +249,6 @@ def decode_estimate_request(body: Dict[str, Any]) -> Dict[str, Any]:
         len(present) == 1,
         f"request needs exactly one of 'expr', 'exprs', 'chain'; got {present or 'none'}",
     )
-    workers = body.get("workers")
-    if workers is not None:
-        try:
-            workers = int(workers)
-        except (TypeError, ValueError):
-            raise ProtocolError(f"'workers' must be an integer, got {workers!r}") from None
     estimator_spec = _decode_estimator(body)
     if "expr" in body:
         return {
@@ -269,7 +263,6 @@ def decode_estimate_request(body: Dict[str, Any]) -> Dict[str, Any]:
         return {
             "kind": "estimate_many",
             "exprs": exprs,
-            "workers": workers,
             "estimator_spec": estimator_spec,
         }
     _require(
@@ -289,7 +282,7 @@ def decode_estimate_request(body: Dict[str, Any]) -> Dict[str, Any]:
             seed = int(seed)
         except (TypeError, ValueError):
             raise ProtocolError(f"'seed' must be an integer, got {seed!r}") from None
-    return {"kind": "optimize_chain", "chain": chain, "seed": seed, "workers": workers}
+    return {"kind": "optimize_chain", "chain": chain, "seed": seed}
 
 
 def _decode_estimator(body: Dict[str, Any]):

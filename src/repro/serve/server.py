@@ -11,9 +11,9 @@ One process serves many tenants' estimation traffic over a shared catalog:
   estimator consumes instance-local randomness per estimate, so a serial
   issue order makes server answers bit-identical to calling
   :meth:`EstimationService.submit` directly in the same order (the serving
-  benchmark asserts exactly this); parallelism inside one batch still fans
-  out over :mod:`repro.parallel` worker processes. The one exception is a
-  single estimate whose root is already memoized, arriving while the
+  benchmark asserts exactly this); a batch is answered root by root on
+  the same thread. The one exception is a single estimate whose root is
+  already memoized, arriving while the
   executor has nothing queued or running: the loop answers it itself,
   which skips the thread hop and gives the same answer (a memo hit draws
   no randomness, and no earlier request is left to change the memo);
@@ -101,7 +101,7 @@ class EstimationServer:
     """The serving front end around one :class:`EstimationService`.
 
     Args:
-        service: the backing service (bring your own store/memo/pool);
+        service: the backing service (bring your own store/memo);
             a default MNC service over a fresh in-memory store if omitted.
         host/port: bind address; port 0 picks a free port (see
             :attr:`port` after :meth:`start`).
@@ -168,8 +168,6 @@ class EstimationServer:
 
     def close(self) -> None:
         self._executor.shutdown(wait=False, cancel_futures=True)
-        if self.service.pool is not None:
-            self.service.pool.close()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -415,9 +413,7 @@ class EstimationServer:
         if request["kind"] == "estimate_many":
             results = self.service.submit(
                 ServiceRequest.batch(
-                    request["exprs"],
-                    workers=request["workers"],
-                    estimator=request["estimator_spec"],
+                    request["exprs"], estimator=request["estimator_spec"]
                 )
             )
             return {"results": [encode_estimate_result(result) for result in results]}
@@ -427,9 +423,7 @@ class EstimationServer:
             if request["seed"] is not None
             else None
         )
-        solution = self.service.submit(
-            ServiceRequest.chain(matrices, rng=rng, workers=request["workers"])
-        )
+        solution = self.service.submit(ServiceRequest.chain(matrices, rng=rng))
         payload = encode_chain_solution(solution)
         payload["names"] = list(request["chain"])
         return payload

@@ -86,17 +86,6 @@ class TestInvalidation:
         assert memo.get("fp1", "MNC", "nnz") is None
         assert memo.get("fp2", "MNC", "nnz") == 3.0
 
-    def test_invalidate_by_estimator(self):
-        memo = self._seeded()
-        assert memo.invalidate(estimator="MNC") == 2
-        assert memo.get("fp1", "DMap", "nnz") == 2.0
-
-    def test_invalidate_by_both(self):
-        memo = self._seeded()
-        assert memo.invalidate(fingerprint="fp1", estimator="MNC") == 1
-        assert memo.get("fp1", "DMap", "nnz") == 2.0
-        assert memo.get("fp2", "MNC", "nnz") == 3.0
-
     def test_clear(self):
         memo = self._seeded()
         memo.clear()
@@ -128,14 +117,6 @@ class TestDependencyInvalidation:
         memo.put("root", "MNC", "nnz", 9.0, depends_on=["leafA"])
         assert memo.invalidate(fingerprint="root") == 1
         assert memo.get("root", "MNC", "nnz") is None
-
-    def test_estimator_filter_applies_to_dependents(self):
-        memo = EstimateMemo()
-        memo.put("root", "MNC", "nnz", 9.0, depends_on=["leaf"])
-        memo.put("root", "DMap", "nnz", 8.0, depends_on=["leaf"])
-        assert memo.invalidate(fingerprint="leaf", estimator="MNC") == 1
-        assert memo.get("root", "MNC", "nnz") is None
-        assert memo.get("root", "DMap", "nnz") == 8.0
 
     def test_reput_replaces_dependencies(self):
         memo = EstimateMemo()
@@ -175,6 +156,104 @@ class TestDependencyInvalidation:
         memo.put("r3", "MNC", "nnz", 3.0, depends_on=["other"])
         assert memo.invalidate(fingerprint="leaf") == 2
         assert memo.get("r3", "MNC", "nnz") == 3.0
+
+
+class _ScanMemo:
+    """Reference memo: the same LRU, count and byte rules, with invalidation
+    by a scan of every entry's key and declared dependencies."""
+
+    def __init__(self, max_entries, budget_bytes):
+        self.max_entries = max_entries
+        self.budget_bytes = budget_bytes
+        self.entries = collections.OrderedDict()  # key -> (charge, deps)
+
+    def bytes_used(self):
+        return sum(charge for charge, _ in self.entries.values())
+
+    def get(self, key):
+        if key in self.entries:
+            self.entries.move_to_end(key)
+
+    def put(self, key, charge, depends_on):
+        self.entries.pop(key, None)
+        if charge > self.budget_bytes:
+            return
+        self.entries[key] = (charge, set(depends_on))
+        while (
+            len(self.entries) > self.max_entries
+            or self.bytes_used() > self.budget_bytes
+        ):
+            self.entries.popitem(last=False)
+
+    def invalidate(self, fingerprint):
+        doomed = [
+            key for key, (_, deps) in self.entries.items()
+            if key[0] == fingerprint or fingerprint in deps
+        ]
+        for key in doomed:
+            del self.entries[key]
+        return len(doomed)
+
+
+class TestIndexedInvalidation:
+    """``invalidate`` answers from its index exactly what a scan finds."""
+
+    FINGERPRINTS = ["fp0", "fp1", "fp2", "fp3", "leaf0", "leaf1", "leaf2"]
+    LEAVES = ["leaf0", "leaf1", "leaf2", "fp0"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sequences_match_scan_reference(self, seed):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        budget = 8 * _charge(100)
+        memo = EstimateMemo(max_entries=10, budget_bytes=budget)
+        reference = _ScanMemo(10, budget)
+
+        def pick(items):
+            return items[int(rng.integers(len(items)))]
+
+        seen = []
+        for _ in range(400):
+            action = rng.random()
+            if action < 0.55 or not seen:
+                if seen and rng.random() < 0.3:
+                    key = pick(seen)  # a re-put
+                else:
+                    key = (
+                        pick(self.FINGERPRINTS), pick(["MNC", "DMap"]),
+                        pick(["nnz", "synopsis"]),
+                    )
+                    seen.append(key)
+                # Sizes up to the budget and, now and then, past it: byte
+                # eviction, and values the memo does not admit.
+                size = int(rng.integers(0, 300)) if rng.random() < 0.9 else budget
+                deps = [leaf for leaf in self.LEAVES if rng.random() < 0.3]
+                memo.put(*key, _Sized(size), depends_on=deps or None)
+                reference.put(key, _charge(size), deps)
+            elif action < 0.75:
+                key = pick(seen)
+                memo.get(*key)
+                reference.get(key)
+            else:
+                fingerprint = pick(self.FINGERPRINTS)
+                assert memo.invalidate(fingerprint=fingerprint) == (
+                    reference.invalidate(fingerprint)
+                )
+            assert list(memo._entries) == list(reference.entries)
+            assert memo.stats()["bytes_used"] == reference.bytes_used()
+        # The index holds exactly the live keys, under their fingerprints.
+        with memo._lock:
+            indexed = {
+                (fingerprint, key)
+                for fingerprint, keys in memo._dependents.items()
+                for key in keys
+            }
+        assert indexed == {
+            (fingerprint, key)
+            for key, (_, deps) in reference.entries.items()
+            for fingerprint in deps | {key[0]}
+        }
 
 
 class TestPartialInvalidationThroughService:
@@ -468,7 +547,7 @@ class TestByteBudget:
         assert memo.stats()["bytes_used"] == (
             _charge(200) + _charge(400) + _charge(0)
         )
-        assert memo.invalidate(estimator="DMap") == 1
+        assert memo.invalidate(fingerprint="root") == 1  # the DMap twin
         assert memo.stats()["bytes_used"] == _charge(400) + _charge(0)
         memo.clear()
         assert memo.stats()["bytes_used"] == 0

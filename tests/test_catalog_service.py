@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro.sparsest.runner as runner_module
-from repro.catalog import EstimationService, SketchStore
+from repro.catalog import EstimationService, ServiceRequest, SketchStore
 from repro.catalog.fingerprint import fingerprint_matrix
 from repro.errors import SketchError
 from repro.estimators import EstimatorSpec
@@ -70,16 +70,16 @@ class TestEstimate:
     def test_estimate_many_shares_cache(self, matrices):
         a, b = matrices
         service = EstimationService()
-        results = service.estimate_many(
+        results = service.submit(ServiceRequest.batch(
             [build_expr(a, b), build_expr(a, b), build_expr(a, b)]
-        )
+        ))
         assert [r["cached"] for r in results] == [False, True, True]
-        # A routed batch fanned out to workers ships each distinct root
-        # once and answers the repeats from it, counted as hits.
+        # A routed batch estimates each distinct root once and answers the
+        # repeats from the memo, counted as hits.
         gram = matmul(transpose(leaf(a)), leaf(a))
         routed = EstimationService(EstimatorSpec.parse(None, tolerance=0.5))
         batch = [build_expr(a, b), gram, build_expr(a, b), gram, gram]
-        results = routed.estimate_many(batch, workers=2)
+        results = routed.submit(ServiceRequest.batch(batch))
         assert [r["cached"] for r in results] == [False, False, True, True, True]
         for repeat, origin in ((2, 0), (3, 1), (4, 1)):
             assert results[repeat]["nnz"] == results[origin]["nnz"]
@@ -371,9 +371,13 @@ class TestOptimizeChain:
             random_sparse(40, 20, 0.15, seed=12),
         ]
         service = EstimationService()
-        first = service.optimize_chain(chain, rng=np.random.default_rng(0))
+        first = service.submit(
+            ServiceRequest.chain(chain, rng=np.random.default_rng(0))
+        )
         puts_after_first = service.store.stats().puts
-        second = service.optimize_chain(chain, rng=np.random.default_rng(0))
+        second = service.submit(
+            ServiceRequest.chain(chain, rng=np.random.default_rng(0))
+        )
         assert service.store.stats().puts == puts_after_first
         assert first.plan == second.plan
 
@@ -386,8 +390,8 @@ class TestOptimizeChain:
             random_sparse(40, 20, 0.15, seed=12),
         ]
         direct = optimize_chain_matrices(chain, rng=np.random.default_rng(0))
-        via_catalog = EstimationService().optimize_chain(
-            chain, rng=np.random.default_rng(0)
+        via_catalog = EstimationService().submit(
+            ServiceRequest.chain(chain, rng=np.random.default_rng(0))
         )
         assert direct.plan == via_catalog.plan
         assert direct.cost == pytest.approx(via_catalog.cost)

@@ -1,7 +1,7 @@
 """Tests for the parallel execution engine and its integration points:
-the pool engine itself (repro.parallel.engine), DAG spilling
-(repro.parallel.spill), the request-based SparsEst API, the service's
-parallel batch path, and the fuzz engine's chunked fan-out.
+the pool engine itself (repro.parallel.engine), the request-based SparsEst
+API, the fuzz engine's chunked fan-out, and the service's batches, which
+answer the same whatever ``$REPRO_WORKERS`` says.
 
 The expensive guarantees (workers=4 vs serial bit-identity over the full
 suite, the speedup threshold) live in benchmarks/bench_parallel.py; here
@@ -13,15 +13,21 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.catalog import EstimationService, ServiceRequest, SketchStore
 from repro.errors import ReproError
 from repro.estimators.mnc import MNCEstimator
 from repro.estimators.spec import EstimatorSpec
-from repro.ir.interpreter import evaluate
-from repro.ir.nodes import leaf, matmul, transpose
-from repro.matrix.random import random_sparse
+from repro.ir.nodes import leaf, matmul
+from repro.matrix.random import (
+    banded_matrix,
+    permutation_matrix,
+    power_law_columns,
+    random_sparse,
+    single_nnz_per_row,
+)
 from repro.observability.collector import RecordingCollector, using_collector
 from repro.observability.metrics import (
     METRICS,
@@ -31,11 +37,11 @@ from repro.observability.metrics import (
 from repro.parallel.engine import (
     WORKERS_ENV,
     TaskFailure,
-    map_values,
     resolve_workers,
     run_tasks,
 )
-from repro.parallel.spill import load_dag, spill_dag
+from repro.serve import EstimationServer, MatrixRegistry, ServeClient, start_server_thread
+from repro.serve.protocol import decode_expr
 from repro.sparsest.runner import (
     EstimationRequest,
     execute,
@@ -141,11 +147,6 @@ class TestRunTasks:
         assert any(
             not r.ok and r.failure.kind == "BrokenProcessPool" for r in results
         )
-
-    def test_map_values_raises_on_failure(self):
-        assert map_values(_square, [1, 2, 3], workers=1) == [1, 4, 9]
-        with pytest.raises(RuntimeError, match="parallel task 2 failed"):
-            map_values(_fail_on_three, [1, 2, 3], workers=1)
 
     def test_worker_traces_merge_into_parent(self):
         pool_runs = METRICS.snapshot().counters.get("parallel.pool_runs", 0.0)
@@ -274,35 +275,7 @@ class TestExecuteDeterminism:
 
 
 # ----------------------------------------------------------------------
-# DAG spill
-# ----------------------------------------------------------------------
-
-class TestSpill:
-    def test_roundtrip_preserves_structure_and_sharing(self, tmp_path):
-        a = random_sparse(30, 20, 0.2, seed=5)
-        shared = leaf(a, name="A")
-        root = matmul(shared, transpose(shared))
-        portable = spill_dag(root, tmp_path)
-        # One distinct leaf → one spilled file, one fingerprint.
-        assert len(set(portable.leaf_keys)) == 1
-        rebuilt = load_dag(portable, tmp_path)
-        assert rebuilt.op is root.op
-        assert rebuilt.shape == root.shape
-        assert abs(evaluate(rebuilt) - evaluate(root)).nnz == 0
-        # Post-order sharing: both children resolve to the same object.
-        assert rebuilt.inputs[0] is rebuilt.inputs[1].inputs[0]
-
-    def test_missing_leaf_raises(self, tmp_path):
-        a = random_sparse(10, 10, 0.3, seed=6)
-        portable = spill_dag(leaf(a), tmp_path)
-        for spilled in (tmp_path / "leaves").glob("*.npz"):
-            spilled.unlink()
-        with pytest.raises(ReproError, match="missing"):
-            load_dag(portable, tmp_path)
-
-
-# ----------------------------------------------------------------------
-# Service submit / parallel batch
+# Service submit: batches answered root by root
 # ----------------------------------------------------------------------
 
 class TestServiceSubmit:
@@ -325,25 +298,148 @@ class TestServiceSubmit:
         with pytest.raises(ReproError):
             EstimationService().submit(ServiceRequest(kind="estimate", exprs=()))
 
-    def test_parallel_batch_matches_serial(self, tmp_path):
+    def test_batch_matches_one_at_a_time(self, tmp_path):
         exprs = self._exprs(3)
+        batch = EstimationService(
+            store=SketchStore(spill_dir=tmp_path / "batch")
+        ).submit(ServiceRequest.batch(exprs))
+        single = EstimationService(store=SketchStore(spill_dir=tmp_path / "single"))
+        one_by_one = [single.submit(ServiceRequest.estimate(e)) for e in exprs]
+        for field in ("nnz", "fingerprint", "cached"):
+            assert [a[field] for a in batch] == [a[field] for a in one_by_one]
+
+    def test_parallel_batch_matches_serial(self, tmp_path, monkeypatch):
+        """A batch under a parallel worker default answers as a serial one."""
+        exprs = self._exprs(3)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
         serial = EstimationService(
             store=SketchStore(spill_dir=tmp_path / "serial")
-        ).estimate_many(exprs, workers=1)
+        ).submit(ServiceRequest.batch(exprs))
+        monkeypatch.setenv(WORKERS_ENV, "2")
         parallel = EstimationService(
             store=SketchStore(spill_dir=tmp_path / "parallel")
-        ).estimate_many(exprs, workers=2)
-        assert [a["nnz"] for a in serial] == [a["nnz"] for a in parallel]
-        assert [a["fingerprint"] for a in serial] == [
-            a["fingerprint"] for a in parallel
-        ]
+        ).submit(ServiceRequest.batch(exprs))
+        for field in ("nnz", "fingerprint", "cached"):
+            assert [a[field] for a in serial] == [a[field] for a in parallel]
 
-    def test_parallel_batch_populates_parent_memo(self):
+    def test_parallel_batch_populates_parent_memo(self, monkeypatch):
+        """Under a parallel worker default a batch still fills the
+        service's own memo, so the next batch is answered from it."""
+        monkeypatch.setenv(WORKERS_ENV, "2")
         exprs = self._exprs(2)
         service = EstimationService()
-        service.estimate_many(exprs, workers=2)
-        again = service.estimate_many(exprs, workers=2)
+        service.submit(ServiceRequest.batch(exprs))
+        again = service.submit(ServiceRequest.batch(exprs))
         assert all(answer["cached"] for answer in again)
+
+
+# ----------------------------------------------------------------------
+# Batch answers do not depend on $REPRO_WORKERS
+# ----------------------------------------------------------------------
+
+#: Leaf recipes of the serving workloads' DAGs (e2ebench/exprgen.py) at
+#: 2000 per side: exact, extended and generic Algorithm 1 cases.
+_SIDE = 2000
+_LEAVES = {
+    "U0": lambda: random_sparse(_SIDE, _SIDE, 2e-3, seed=10),
+    "U1": lambda: random_sparse(_SIDE, _SIDE, 5e-4, seed=11),
+    "U2": lambda: random_sparse(_SIDE, _SIDE, 1e-4, seed=12),
+    "P0": lambda: power_law_columns(_SIDE, _SIDE, int(1e-3 * _SIDE**2), seed=13),
+    "P1": lambda: power_law_columns(_SIDE, _SIDE, int(2e-4 * _SIDE**2), seed=14),
+    "S0": lambda: single_nnz_per_row(_SIDE, _SIDE, seed=15),
+    "Q0": lambda: permutation_matrix(_SIDE, seed=16),
+    "B0": lambda: banded_matrix(_SIDE, 2),
+}
+
+
+def _wire_dags(count, seed=5):
+    """*count* distinct wire DAGs of depth 2-4 over the named leaves, with
+    shared subtrees, in the serving workloads' operation mix."""
+    rng = np.random.default_rng(seed)
+    names = list(_LEAVES)
+    ops = ("matmul", "ewise_mult", "ewise_add", "transpose")
+    pools = {}
+
+    def node(depth, root=False):
+        if depth == 0:
+            return {"ref": names[int(rng.integers(len(names)))]}
+        pool = pools.setdefault(depth, [])
+        if not root and pool and rng.random() < 0.3:
+            return pool[int(rng.integers(len(pool)))]
+        op = ops[int(rng.choice(4, p=(0.4, 0.2, 0.2, 0.2)))]
+        if op == "transpose":
+            inputs = [node(depth - 1)]
+        else:
+            inputs = [node(depth - 1), node(int(rng.integers(depth)))]
+            if rng.random() < 0.5:
+                inputs.reverse()
+        built = {"op": op, "inputs": inputs}
+        pool.append(built)
+        return built
+
+    roots, seen = [], set()
+    while len(roots) < count:
+        wire = node(int(rng.integers(2, 5)), root=True)
+        if repr(wire) not in seen:
+            seen.add(repr(wire))
+            roots.append(wire)
+    return roots
+
+
+@pytest.fixture(scope="module")
+def batch_workload():
+    """Leaves, and a batch of 20 distinct DAGs followed by 4 repeats."""
+    matrices = {name: build() for name, build in _LEAVES.items()}
+    wires = _wire_dags(20)
+    return matrices, wires + wires[:4]
+
+
+def _reference_answers(matrices, wires):
+    """A fresh service's answers to the batch, with $REPRO_WORKERS unset."""
+    service = EstimationService()
+    registry = MatrixRegistry(service)
+    for name, matrix in matrices.items():
+        registry.register(name, matrix)
+    exprs = [decode_expr(wire, registry.resolve) for wire in wires]
+    return service.submit(ServiceRequest.batch(exprs))
+
+
+class TestBatchDeterminism:
+    """A batch under ``REPRO_WORKERS=2`` answers every root exactly as a
+    fresh serial service does — in process and over HTTP."""
+
+    FIELDS = ("nnz", "fingerprint", "cached")
+
+    def _assert_same(self, got, want):
+        assert len(got) == len(want)
+        for index, (a, b) in enumerate(zip(got, want)):
+            for field in self.FIELDS:
+                assert a[field] == b[field], (index, field, a[field], b[field])
+
+    def test_submitted_batch_ignores_repro_workers(self, batch_workload, monkeypatch):
+        matrices, wires = batch_workload
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        want = _reference_answers(matrices, wires)
+        assert [r["cached"] for r in want[-4:]] == [True] * 4
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        got = _reference_answers(matrices, wires)
+        self._assert_same(got, want)
+
+    def test_served_batch_ignores_repro_workers(self, batch_workload, monkeypatch):
+        matrices, wires = batch_workload
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        want = _reference_answers(matrices, wires)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        handle = start_server_thread(EstimationServer(port=0))
+        client = ServeClient(handle.host, handle.port)
+        try:
+            for name, matrix in matrices.items():
+                client.register(name, matrix)
+            got = client.estimate_batch(wires)
+        finally:
+            client.close()
+            handle.stop()
+        self._assert_same(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -398,52 +494,3 @@ class TestKeywordOnlySignatures:
 
     def test_keyword_construction_accepted(self):
         assert MNCEstimator(use_extensions=False, seed=1).name == "MNC"
-
-
-class TestWorkerPool:
-    """Persistent executor reuse (the serving tier's amortization hook)."""
-
-    def test_pool_reused_across_run_tasks_calls(self):
-        from repro.parallel.engine import WorkerPool
-
-        with WorkerPool(workers=2) as pool:
-            first = run_tasks(_square, [1, 2, 3, 4], pool=pool)
-            executor = pool._executor
-            assert executor is not None
-            second = run_tasks(_square, [5, 6, 7, 8], pool=pool)
-            assert pool._executor is executor  # same executor, no respawn
-        assert [r.value for r in first] == [1, 4, 9, 16]
-        assert [r.value for r in second] == [25, 36, 49, 64]
-
-    def test_pool_workers_supply_default_count(self):
-        from repro.parallel.engine import WorkerPool
-
-        with WorkerPool(workers=2) as pool:
-            results = run_tasks(_square, [1, 2, 3], pool=pool)
-        assert all(result.ok for result in results)
-
-    def test_broken_pool_recovers_on_next_use(self):
-        from repro.parallel.engine import WorkerPool
-
-        with WorkerPool(workers=2) as pool:
-            crashed = run_tasks(_die_on_two, [1, 2, 3], pool=pool)
-            assert any(not result.ok for result in crashed)
-            # The broken executor was discarded; the next batch works.
-            healthy = run_tasks(_square, [1, 2, 3, 4], pool=pool)
-            assert [r.value for r in healthy] == [1, 4, 9, 16]
-
-    def test_serial_fallback_ignores_pool(self):
-        from repro.parallel.engine import WorkerPool
-
-        with WorkerPool(workers=1) as pool:
-            results = run_tasks(_square, [1, 2, 3], pool=pool)
-            assert pool._executor is None  # never spawned
-        assert [r.value for r in results] == [1, 4, 9]
-
-    def test_close_is_idempotent(self):
-        from repro.parallel.engine import WorkerPool
-
-        pool = WorkerPool(workers=2)
-        run_tasks(_square, [1, 2], pool=pool)
-        pool.close()
-        pool.close()

@@ -18,6 +18,7 @@ from repro.estimators.spec import EstimatorSpec
 from repro.ir.interpreter import evaluate
 from repro.ir.nodes import ewise_mult, leaf
 from repro.matrix.random import random_sparse
+from repro.parallel import WORKERS_ENV
 from repro.router import (
     POLICY_FILENAME,
     TIER_LADDER,
@@ -315,13 +316,15 @@ class TestServiceRouting:
         plain = service.submit(ServiceRequest.estimate(_product(seed=30)))
         assert "router" not in plain
 
-    def test_batch_workers_bit_identical(self):
+    def test_batch_workers_bit_identical(self, monkeypatch):
         exprs = [_product(seed=index * 10) for index in range(4)]
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
         serial = EstimationService(EstimatorSpec.parse(self.AUTO)).submit(
-            ServiceRequest.batch(exprs, workers=1)
+            ServiceRequest.batch(exprs)
         )
+        monkeypatch.setenv(WORKERS_ENV, "3")
         parallel = EstimationService(EstimatorSpec.parse(self.AUTO)).submit(
-            ServiceRequest.batch(exprs, workers=3)
+            ServiceRequest.batch(exprs)
         )
         assert [r["nnz"] for r in serial] == [r["nnz"] for r in parallel]
         assert [r["router"] for r in serial] == [r["router"] for r in parallel]

@@ -180,8 +180,9 @@ class TestRequestCodec:
         assert decoded["include_intermediates"] is False
 
     def test_batch(self):
-        decoded = decode_estimate_request({"exprs": [{"ref": "X"}], "workers": 2})
-        assert decoded["kind"] == "estimate_many" and decoded["workers"] == 2
+        decoded = decode_estimate_request({"exprs": [{"ref": "X"}]})
+        assert decoded["kind"] == "estimate_many"
+        assert decoded["exprs"] == [{"ref": "X"}]
 
     def test_chain(self):
         decoded = decode_estimate_request({"chain": ["A", "B"], "seed": 5})
@@ -195,7 +196,7 @@ class TestRequestCodec:
             {"exprs": []},
             {"chain": ["only-one"]},
             {"chain": ["A", 2]},
-            {"expr": {"ref": "X"}, "workers": "many"},
+            {"exprs": {"ref": "X"}},
             {"chain": ["A", "B"], "seed": "x"},
         ],
     )
