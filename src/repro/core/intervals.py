@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from repro.core.estimate import (
     estimate_product_nnz,
@@ -95,7 +95,7 @@ def estimate_product_interval(
     occupancy = min(max(estimate / cells, 0.0), 1.0)
     variance = cells * occupancy * (1.0 - occupancy)
     std = math.sqrt(max(variance, 0.0))
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     lower = max(estimate - z * std, lower_bound, 0.0)
     upper = min(estimate + z * std, upper_bound, float(h_a.nrows * h_b.ncols))
     return NnzInterval(estimate, lower, upper, confidence, exact=False)

@@ -2,8 +2,10 @@
 
 Evaluates every node with the exact structural operations of
 :mod:`repro.matrix.ops` (assumptions A1/A2), memoizing shared sub-DAGs.
-This provides the true sparsity the SparsEst benchmark scores estimators
-against, for roots and for all intermediates.
+This provides the true structure of every intermediate (the runtime
+executor scores each allocation decision against it). SparsEst's root
+truths need only a count, which the exact oracle takes without sorting a
+product root (:func:`repro.sparsest.runner.true_nnz_of`).
 """
 
 from __future__ import annotations

@@ -23,12 +23,17 @@ cannot turn a positive sum into 0). ``bool`` products would be exact too,
 but on SparsEst B3.2's 620M-path ground-truth product scipy's ``bool``
 kernel ran ~25% slower than float32 (scipy 1.17, 2-CPU x86 VM).
 
-Format rule. SystemML stores a block dense when at least
-:data:`SPARSE_FORMAT_THRESHOLD` (0.4, the paper's footnote 3) of its cells
-are non-zero; :mod:`repro.runtime.formats` charges memory by the same rule.
-A :func:`matmul` whose two operands that rule would store dense runs as one
-dense float32 (BLAS) product, and its CSR result is read straight off the
-``> 0`` mask. Every other product runs as a sparse product.
+Kernel rule. A :func:`matmul` runs as one dense float32 (BLAS) product,
+its CSR result read straight off the ``> 0`` mask, when the paper's
+Appendix C cost model says the dense product is cheaper: the sparse
+kernel's multiply count, Eq 17's ``sum_k nnz(A[:, k]) * nnz(B[k, :])``
+(exact from the operands' counts), times :data:`DENSE_PRODUCT_BREAK_EVEN`
+reaches the dense ``m * k * n``, and the densified operands and result
+fit :data:`DENSE_PRODUCT_MAX_BYTES`. Every other product runs as a sparse
+product. The count decides, not the operands' densities: a dense
+785x4000 operand times SparsEst B3.2's 25%-dense 4000x785 images is a
+620M-path product (dense wins ~20x), while the same operand times an
+ultra-sparse 4000x4000 matrix is a 3M-path one (sparse wins 4-7x).
 """
 
 from __future__ import annotations
@@ -46,10 +51,25 @@ from repro.matrix.conversion import (
     index_dtype,
     structure_view,
 )
+from repro.matrix.properties import col_nnz, row_nnz
 
-#: SystemML's dense/sparse switch point (paper footnote 3): a block with at
-#: least this fraction of non-zero cells is stored dense.
-SPARSE_FORMAT_THRESHOLD = 0.4
+#: How many BLAS multiply-adds one sparse-kernel path is worth: a product
+#: runs dense when ``paths * DENSE_PRODUCT_BREAK_EVEN >= m * k * n``.
+#: Measured on a 2-CPU x86 VM (scipy 1.17, OpenBLAS 0.3.31 on one thread,
+#: best of 3, uniform 0/1 operands from 400x16x1000 to 2000x500x2000):
+#: path-bound sparse products (``m * k * n / paths`` ~ 4) cost 1.8-2.2 ns
+#: per path against 0.019-0.025 ns per dense multiply-add, a break-even
+#: of 86-98 (38-78 at ``k = 16``, where BLAS runs at ~0.08 ns); sparser
+#: products pay more per path (2.2-12 ns), so at ``m * k * n / paths``
+#: ~ 100 the dense product won or tied on every shape tried. SparsEst's products at ratios of 393 and 628 (B3.2's
+#: ``StXtDXS`` and ``StXt``) still ran faster sparse (6.2 vs 9.2 ms,
+#: 40 vs 47 ms).
+DENSE_PRODUCT_BREAK_EVEN = 100
+
+#: Largest float32 ``A``, ``B`` and ``A B`` together (bytes) that the dense
+#: kernel may allocate. B3.2's densified ``StXtD X`` takes 26 MiB at
+#: SparsEst scale 0.2 and 128 MiB at scale 1.0.
+DENSE_PRODUCT_MAX_BYTES = 256 * 2**20
 
 
 def _structure(result: sp.csr_array) -> sp.csr_array:
@@ -77,24 +97,28 @@ def _mask_structure(mask: np.ndarray) -> sp.csr_array:
     return result
 
 
-def _stored_dense(csr: sp.csr_array) -> bool:
-    """Whether the format rule would store *csr* as a dense block."""
-    cells = csr.shape[0] * csr.shape[1]
-    return cells > 0 and csr.nnz / cells >= SPARSE_FORMAT_THRESHOLD
+def _dense_kernel_pays(a: sp.csr_array, b: sp.csr_array) -> bool:
+    """Whether the kernel rule runs the canonical product ``a b`` dense."""
+    m, k = a.shape
+    n = b.shape[1]
+    if 4 * (m * k + k * n + m * n) > DENSE_PRODUCT_MAX_BYTES:
+        return False
+    paths = int(col_nnz(a) @ row_nnz(b))
+    return paths * DENSE_PRODUCT_BREAK_EVEN >= m * k * n
 
 
 def _product(a: MatrixLike, b: MatrixLike) -> Union[np.ndarray, sp.csr_array]:
     """The structural product ``A B`` of float32 0/1 views: a dense array
-    when both operands are dense under the format rule, otherwise a CSR
-    result with unsorted column indices. Either way the stored positive
-    cells are exactly the non-zeros."""
+    when the kernel rule picks BLAS, otherwise a CSR result with unsorted
+    column indices. Either way the stored positive cells are exactly the
+    non-zeros."""
     sa, sb = as_csr(a), as_csr(b)
     if sa.shape[1] != sb.shape[0]:
         raise ShapeError(
             f"matmul requires inner dimensions to agree: {sa.shape} x {sb.shape}"
         )
     va, vb = structure_view(sa, np.float32), structure_view(sb, np.float32)
-    if _stored_dense(sa) and _stored_dense(sb):
+    if _dense_kernel_pays(sa, sb):
         return va.toarray() @ vb.toarray()
     return va @ vb
 

@@ -21,9 +21,9 @@ import enum
 
 from repro.errors import ShapeError
 
-# SystemML's dense/sparse switch point (paper footnote 3). It lives beside
-# the structural matmul, which applies the same rule.
-from repro.matrix.ops import SPARSE_FORMAT_THRESHOLD
+#: SystemML's dense/sparse switch point (paper footnote 3): a block with at
+#: least this fraction of non-zero cells is stored dense.
+SPARSE_FORMAT_THRESHOLD = 0.4
 
 _FP64 = 8
 _INDEX = 4

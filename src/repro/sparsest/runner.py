@@ -36,8 +36,8 @@ from repro.errors import EstimatorOptionError, UnsupportedOperationError
 from repro.estimators.base import SparsityEstimator
 from repro.estimators.spec import AUTO_NAME, EstimatorSpec
 from repro.estimators.bitset import BitsetEstimator
+from repro.estimators.exact import ExactOracle
 from repro.ir.estimate import estimate_root_nnz
-from repro.ir.interpreter import evaluate
 from repro.ir.nodes import Expr
 from repro.observability.collector import get_collector
 from repro.observability.metrics import metric_inc, metric_observe, record_residual
@@ -255,14 +255,17 @@ def _record_outcome(outcome: EstimateOutcome) -> EstimateOutcome:
 def true_nnz_of(root: Expr) -> float:
     """Ground-truth non-zero count of a DAG root.
 
-    Memoized on the expression's structural fingerprint: rebuilding the
-    same expression (even from different objects, as the per-seed use-case
-    builders do) reuses the evaluated truth instead of re-running the full
-    sparse computation.
+    Counted by the exact oracle, as ``auto``'s exact rung counts it: every
+    intermediate is materialized, but a product root is only counted,
+    never sorted into a canonical result. Memoized on the expression's
+    structural fingerprint: rebuilding the same expression (even from
+    different objects, as the per-seed use-case builders do) reuses the
+    truth instead of recomputing it.
     """
     fingerprint = fingerprint_expr(root)
     return _TRUTH_MEMO.memoize(
-        fingerprint, _TRUTH_KEY, "nnz", lambda: float(evaluate(root).nnz)
+        fingerprint, _TRUTH_KEY, "nnz",
+        lambda: estimate_root_nnz(root, ExactOracle()),
     )
 
 

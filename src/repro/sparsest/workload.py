@@ -161,12 +161,12 @@ def workload_errors(
     from repro.errors import UnsupportedOperationError
     from repro.estimators import make_estimator
     from repro.ir.estimate import estimate_root_nnz
-    from repro.ir.interpreter import evaluate
     from repro.sparsest.metrics import relative_error
+    from repro.sparsest.runner import true_nnz_of
 
     errors: Dict[str, List[float]] = {name: [] for name in estimator_names}
     for expression in expressions:
-        truth = float(evaluate(expression).nnz)
+        truth = true_nnz_of(expression)
         for name in estimator_names:
             estimator = make_estimator(name, **estimator_kwargs.get(name, {}))
             try:

@@ -300,11 +300,9 @@ register_contract(Contract(
 ))
 
 
-def _applies_single_op_tag(tag: str) -> Callable[[EstimatorSpec, Case], bool]:
-    def gate(spec: EstimatorSpec, case: Case) -> bool:
-        return (tag in spec.tags and "single_op" in case.tags
-                and case_supported(spec.make(), case))
-    return gate
+def _applies_upper_bound(spec: EstimatorSpec, case: Case) -> bool:
+    return ("upper_bound" in spec.tags and "single_op" in case.tags
+            and case_supported(spec.make(), case))
 
 
 def _check_upper_bound(spec: EstimatorSpec, case: Case) -> Optional[str]:
@@ -319,7 +317,7 @@ register_contract(Contract(
     id="wc_upper_bound",
     description="worst-case metadata estimates never fall below the truth",
     paper_ref="Eq 2 (E_wc upper bound)",
-    applies=_applies_single_op_tag("upper_bound"),
+    applies=_applies_upper_bound,
     check=_check_upper_bound,
 ))
 
@@ -458,11 +456,9 @@ register_contract(Contract(
 ))
 
 
-def _applies_matmul_sketch(tag: str) -> Callable[[EstimatorSpec, Case], bool]:
-    def gate(spec: EstimatorSpec, case: Case) -> bool:
-        return (tag in spec.tags and "matmul" in case.tags
-                and "single_op" in case.tags)
-    return gate
+def _applies_theorem32(spec: EstimatorSpec, case: Case) -> bool:
+    return ("theorem32" in spec.tags and "matmul" in case.tags
+            and "single_op" in case.tags)
 
 
 def _check_theorem32(spec: EstimatorSpec, case: Case) -> Optional[str]:
@@ -481,7 +477,7 @@ register_contract(Contract(
     id="theorem32_containment",
     description="the sketch product bounds contain the true nnz",
     paper_ref="Theorem 3.2",
-    applies=_applies_matmul_sketch("theorem32"),
+    applies=_applies_theorem32,
     check=_check_theorem32,
 ))
 
@@ -514,7 +510,7 @@ register_contract(Contract(
     description="product confidence intervals are ordered, bounded, and "
                 "collapse onto the truth in exact cases",
     paper_ref="core.intervals (paper future work #2)",
-    applies=_applies_matmul_sketch("theorem32"),
+    applies=_applies_theorem32,
     check=_check_interval,
 ))
 

@@ -400,16 +400,23 @@ class TestOptimizeChain:
 class TestTruthMemo:
     """Satellite: the runner's truth cache now survives expression rebuilds."""
 
+    @staticmethod
+    def _count_truths(monkeypatch):
+        """Record every ground-truth computation ``true_nnz_of`` starts."""
+        calls = []
+        count_root = runner_module.estimate_root_nnz
+
+        def counting_count_root(root, estimator, catalog=None):
+            calls.append(root)
+            return count_root(root, estimator, catalog=catalog)
+
+        monkeypatch.setattr(runner_module, "estimate_root_nnz", counting_count_root)
+        return calls
+
     def test_truth_survives_rebuild(self, matrices, monkeypatch):
         a, b = matrices
         clear_truth_cache()
-        calls = []
-
-        def counting_evaluate(root):
-            calls.append(root)
-            return evaluate(root)
-
-        monkeypatch.setattr(runner_module, "evaluate", counting_evaluate)
+        calls = self._count_truths(monkeypatch)
         first = true_nnz_of(build_expr(a, b))
         second = true_nnz_of(build_expr(a, b))  # new objects, same structure
         assert first == second
@@ -418,13 +425,7 @@ class TestTruthMemo:
     def test_clear_truth_cache_forces_recompute(self, matrices, monkeypatch):
         a, b = matrices
         clear_truth_cache()
-        calls = []
-
-        def counting_evaluate(root):
-            calls.append(root)
-            return evaluate(root)
-
-        monkeypatch.setattr(runner_module, "evaluate", counting_evaluate)
+        calls = self._count_truths(monkeypatch)
         true_nnz_of(build_expr(a, b))
         clear_truth_cache()
         true_nnz_of(build_expr(a, b))

@@ -1,5 +1,10 @@
 """Tests for the confidence-interval extension."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,11 @@ from repro.core.intervals import (
     NnzInterval,
     estimate_product_interval,
     interval_from_samples,
+)
+from repro.core.estimate import (
+    estimate_product_nnz,
+    product_nnz_lower_bound,
+    product_nnz_upper_bound,
 )
 from repro.core.sketch import MNCSketch
 from repro.errors import ShapeError
@@ -96,6 +106,50 @@ class TestProductInterval:
         interval = estimate_product_interval(*_sketches(tokens, data))
         assert interval.exact
         assert interval.estimate == matmul(tokens, data).nnz
+
+
+class TestNormalQuantile:
+    """The interval's z comes from ``scipy.special.ndtri``, so that importing
+    repro does not load ``scipy.stats``; the bounds must stay the ones
+    ``scipy.stats.norm.ppf`` gives."""
+
+    CONFIDENCES = [1e-9, 1e-3, *np.linspace(0.01, 0.99, 99), 0.999, 1 - 1e-9]
+
+    @pytest.mark.parametrize("density, seed", [(0.05, 1), (0.1, 2), (0.3, 3)])
+    def test_bounds_match_norm_ppf(self, density, seed):
+        from scipy import stats
+
+        a = random_sparse(120, 90, density, seed=seed)
+        b = random_sparse(90, 110, density, seed=seed + 100)
+        h_a, h_b = _sketches(a, b)
+        estimate = estimate_product_nnz(h_a, h_b)
+        cells = float(h_a.nnz_rows) * float(h_b.nnz_cols)
+        occupancy = min(max(estimate / cells, 0.0), 1.0)
+        std = math.sqrt(cells * occupancy * (1.0 - occupancy))
+        floor = float(product_nnz_lower_bound(h_a, h_b))
+        ceiling = float(product_nnz_upper_bound(h_a, h_b))
+        for confidence in self.CONFIDENCES:
+            interval = estimate_product_interval(h_a, h_b, confidence)
+            assert not interval.exact
+            z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+            assert interval.lower == max(estimate - z * std, floor, 0.0)
+            assert interval.upper == min(
+                estimate + z * std, ceiling, float(h_a.nrows * h_b.ncols)
+            )
+
+    def test_import_leaves_heavy_scipy_unloaded(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        probe = (
+            "import sys, repro.cli; "
+            "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize', "
+            "'scipy.spatial', 'scipy.ndimage') if m in sys.modules))"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout.split()
+        assert loaded == []
 
 
 class TestSampleInterval:

@@ -1,5 +1,7 @@
 """Unit tests for the ground-truth structural operations."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 from conftest import assert_structure_equal
 from repro.errors import ShapeError
 from repro.estimators import ExactOracle
+from repro.matrix import ops
 from repro.matrix.conversion import as_csr
 from repro.matrix.ops import (
-    SPARSE_FORMAT_THRESHOLD,
+    DENSE_PRODUCT_MAX_BYTES,
     boolean_matmul,
     cbind,
     col_sums,
@@ -200,7 +203,7 @@ DTYPES = (np.int8, np.bool_, np.int64, np.float64)
 #: column reaches a cell by 256 paths (an int8 count wraps to 0).
 INNER = (0, 1, 5, 256)
 OUTER = (0, 1, 3, 17)
-#: Densities on both sides of the format rule's 0.4.
+#: Densities from empty to full.
 DENSITIES = (0.0, 0.1, 0.3, 0.45, 0.95, 1.0)
 
 
@@ -320,8 +323,20 @@ class TestDifferential:
 
         oracle = ExactOracle()
         sa, sa2, sb = oracle.build(a), oracle.build(a2), oracle.build(b)
+        # The kernel rule sends nearly every small product dense, so run
+        # each product through both kernels, whichever the rule picks.
+        for dense in (False, True):
+            with mock.patch.object(ops, "_dense_kernel_pays", return_value=dense):
+                _assert_structure(matmul(a, b), product)
+                assert matmul_nnz(a, b) == np.count_nonzero(product)
+                assert oracle.estimate_nnz(Op.MATMUL, [sa, sb]) == (
+                    np.count_nonzero(product)
+                )
+                _assert_structure(
+                    oracle.propagate(Op.MATMUL, [sa, sb]).matrix, product
+                )
+
         counts = [
-            (Op.MATMUL, [sa, sb], product),
             (Op.EWISE_ADD, [sa, sa2], ref_a | ref_a2),
             (Op.EWISE_MULT, [sa, sa2], ref_a & ref_a2),
             (Op.TRANSPOSE, [sa], ref_a),
@@ -332,26 +347,64 @@ class TestDifferential:
         ]
         for op, synopses, expected in counts:
             assert oracle.estimate_nnz(op, synopses) == np.count_nonzero(expected), op
-        _assert_structure(oracle.propagate(Op.MATMUL, [sa, sb]).matrix, product)
 
         for matrix, snapshot in inputs:
             assert _unchanged(matrix, snapshot)
 
-    @pytest.mark.parametrize("b_density", [1.0, 0.25])
-    def test_path_counts_past_int16(self, b_density):
-        # A full 1 x 2**16 row times B whose first column is full: that
-        # cell is reached by 2**16 paths, which an int8 or int16 count
-        # wraps to 0. B is dense (1.0) or sparse (0.25) under the format
-        # rule, so both product paths are covered.
+    @pytest.mark.parametrize("width, full, dense", [
+        pytest.param(4, 4, True, id="dense"),
+        pytest.param(256, 1, False, id="sparse"),
+    ])
+    def test_path_counts_past_int16(self, width, full, dense):
+        # A full 1 x 2**16 row times B whose first *full* columns are full:
+        # each of those cells is reached by 2**16 paths, which an int8 or
+        # int16 count wraps to 0. With B full, every multiply-add is a path
+        # and the kernel rule runs the product dense; the wide B with one
+        # full column has 256 multiply-adds per path and runs sparse.
         k = 2**16
         a = np.ones((1, k), dtype=np.int8)
-        b = np.zeros((k, 4), dtype=np.int8)
-        b[:, : int(4 * b_density)] = 1
-        expected = (a.astype(np.int64) @ b.astype(np.int64)) > 0
-        assert (b.mean() >= SPARSE_FORMAT_THRESHOLD) == (b_density == 1.0)
+        b = sp.csr_array(
+            (
+                np.ones(k * full, dtype=np.int8),
+                np.tile(np.arange(full), k),
+                np.arange(0, k * full + 1, full),
+            ),
+            shape=(k, width),
+        )
+        expected = np.zeros((1, width), dtype=bool)
+        expected[0, :full] = True
+        assert ops._dense_kernel_pays(as_csr(a), b) is dense
         _assert_structure(matmul(a, b), expected)
         assert matmul_nnz(a, b) == expected.sum()
         oracle = ExactOracle()
         assert oracle.estimate_nnz(
             Op.MATMUL, [oracle.build(a), oracle.build(b)]
         ) == expected.sum()
+
+
+class TestKernelRule:
+    """Products run dense exactly when Eq 17's path count, times the
+    break-even factor, reaches ``m * k * n`` and the dense arrays fit."""
+
+    def test_path_bound_product_runs_dense(self):
+        # SparsEst B3.2's StXtD X: a dense 785 x 4000 operand times the
+        # 25%-dense 4000 x 785 images, ~4 multiply-adds per path.
+        a = np.ones((785, 4000), dtype=np.int8)
+        b = random_sparse(4000, 785, 0.25, seed=1)
+        assert ops._dense_kernel_pays(as_csr(a), as_csr(b))
+
+    def test_ultra_sparse_operand_stays_sparse(self):
+        # B3.2's StXt diag(w): the same dense operand times a 4000 x 4000
+        # diagonal, 4000 multiply-adds per path.
+        a = np.ones((785, 4000), dtype=np.int8)
+        b = sp.csr_array(sp.identity(4000, dtype=np.int8, format="csr"))
+        assert not ops._dense_kernel_pays(as_csr(a), as_csr(b))
+
+    def test_over_cap_product_stays_sparse(self):
+        # An outer product has one path per multiply-add, but its dense
+        # result alone would take more than the byte cap.
+        side = int(np.sqrt(DENSE_PRODUCT_MAX_BYTES / 4)) + 1
+        column = as_csr(np.ones((side, 1), dtype=np.int8))
+        row = as_csr(np.ones((1, side), dtype=np.int8))
+        assert not ops._dense_kernel_pays(column, row)
+        assert ops._dense_kernel_pays(column[: side // 2], row[:, : side // 2])

@@ -12,6 +12,7 @@ behavior a benchmark cannot exercise.
 from __future__ import annotations
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -467,6 +468,28 @@ class TestFuzzEngineWorkers:
         ).run()
         assert report.cells
         assert report.checked == 0
+
+    def test_chunks_run_in_workers(self):
+        # Every chunk must reach a worker: a chunk that fails (say, to
+        # pickle) is rerun serially and counted, so these stay at 0.
+        def counters():
+            snapshot = METRICS.snapshot().counters
+            return [snapshot.get(name, 0.0)
+                    for name in ("verify.chunk_retries", "parallel.failures")]
+
+        before = counters()
+        report = FuzzEngine(
+            budget=4, seed=3, cell_patterns=self.CELLS, workers=2,
+        ).run()
+        assert report.checked > 0
+        assert counters() == before
+
+    def test_every_contract_pickles(self):
+        from repro.verify.contracts import all_contracts
+
+        for contract in all_contracts():
+            clone = pickle.loads(pickle.dumps(contract))
+            assert clone.id == contract.id
 
 
 # ----------------------------------------------------------------------

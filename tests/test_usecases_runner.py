@@ -15,6 +15,7 @@ from repro.sparsest import all_use_cases, get_use_case, use_case_ids
 from repro.sparsest.report import format_error, outcomes_table, simple_table
 from repro.sparsest.runner import (
     EstimateOutcome,
+    clear_truth_cache,
     execute_outcomes,
     requests_for,
     supports_use_case,
@@ -85,6 +86,17 @@ class TestUseCaseSemantics:
         root = get_use_case("B3.3").build(scale=SCALE, seed=0)
         for node in root.postorder():
             assert node.op in (Op.LEAF, Op.MATMUL)
+
+
+class TestGroundTruth:
+    @pytest.mark.parametrize("case_id", use_case_ids())
+    def test_counted_truth_equals_evaluated_root(self, case_id):
+        # true_nnz_of counts the root through the exact oracle; it must
+        # agree with the interpreter's materialized root.
+        clear_truth_cache()
+        for seed in range(3):
+            root = get_use_case(case_id).build(scale=0.05, seed=seed)
+            assert true_nnz_of(root) == float(evaluate(root).nnz)
 
 
 class TestRunner:
